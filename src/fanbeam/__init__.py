@@ -7,7 +7,11 @@ evaluated straight in the polar frequency domain.
 """
 
 from .core import (
+    LINEAR,
+    STANDARD,
+    FanDetector,
     FanGeometry,
+    FanSinogram,
     GeometryError,
     ImageGrid,
     LinearFanSinogram,
@@ -30,7 +34,6 @@ from .phantom import (
 )
 from .forward import rebin_to_linear, rebin_to_standard, sample_parallel
 from .rebinning import (
-    ChangeOfVariables,
     FanSampler,
     adjoint_rebin_linear,
     adjoint_rebin_standard,
@@ -53,19 +56,22 @@ from .series import (
     SeriesCoefficients,
     bessel_table,
     choose_truncation,
-    estimate_dc,
     evaluate_series,
     fourier_coefficients_gamma,
     linear_fan_backproject,
     standard_fan_backproject,
 )
-from .filtering import fbp_linear_pipeline, fbp_normalization, ramp_filter
+from .filtering import backproject, fbp_linear_pipeline, fbp_normalization, ramp_filter
 from .gridfile import GridFile, read_grid, write_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "LINEAR",
+    "STANDARD",
+    "FanDetector",
     "FanGeometry",
+    "FanSinogram",
     "GeometryError",
     "ImageGrid",
     "LinearFanSinogram",
@@ -86,7 +92,6 @@ __all__ = [
     "rebin_to_linear",
     "rebin_to_standard",
     "sample_parallel",
-    "ChangeOfVariables",
     "FanSampler",
     "adjoint_rebin_linear",
     "adjoint_rebin_standard",
@@ -106,11 +111,11 @@ __all__ = [
     "SeriesCoefficients",
     "bessel_table",
     "choose_truncation",
-    "estimate_dc",
     "evaluate_series",
     "fourier_coefficients_gamma",
     "linear_fan_backproject",
     "standard_fan_backproject",
+    "backproject",
     "fbp_linear_pipeline",
     "fbp_normalization",
     "ramp_filter",

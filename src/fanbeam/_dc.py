@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import LinearFanSinogram, ParallelSinogram, StandardFanSinogram, image_coords
+from .core import ParallelSinogram, image_coords
 
 __all__ = ["disk_integral_target", "restore_dc"]
 
@@ -34,20 +34,11 @@ def disk_integral_target(sino) -> float:
         dtheta = sino.theta_span / sino.n_theta
         weight = dtheta if sino.full_circle else 2.0 * dtheta
         return float(weight * dt * np.sum(sino.data * _chord(sino.t_grid)[None, :]))
-    if isinstance(sino, StandardFanSinogram):
-        geom = sino.geometry
-        det = sino.gamma_grid
-        t = geom.d * np.sin(det)
-        angle = det
-        dcell = (2.0 * geom.gamma_max / (sino.n_gamma - 1)) * geom.beta_span / sino.n_beta
-    elif isinstance(sino, LinearFanSinogram):
-        geom = sino.geometry
-        det = sino.s_grid
-        t = det * geom.d / np.hypot(det, geom.d)
-        angle = np.arctan(det / geom.d)
-        dcell = (2.0 * geom.s_max / (sino.n_s - 1)) * geom.beta_span / sino.n_beta
-    else:
-        raise TypeError(f"unsupported sinogram type {type(sino).__name__}")
+    geom = sino.geometry
+    det = sino.det_grid
+    t = sino.detector.t(det, geom.d)
+    angle = sino.detector.angle(det, geom.d)
+    dcell = (2.0 * sino.detector.half_width(geom) / (sino.n_det - 1)) * geom.beta_span / sino.n_beta
     # full-circle integral of the symmetry-extended sinogram against the
     # disk chord: every measured cell appears twice except those whose
     # symmetry partner is itself inside the measured window

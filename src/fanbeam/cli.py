@@ -17,14 +17,12 @@ import numpy as np
 from . import __version__
 from ._threads import set_workers
 from .bst import bst_backproject
-from .core import GeometryError, ImageGrid, LinearFanSinogram, ParallelSinogram, StandardFanSinogram, make_fan_geometry
-from .filtering import fbp_normalization, ramp_filter
-from .forward import rebin_to_linear, rebin_to_standard
+from .core import FAN_SINOGRAMS, FanSinogram, GeometryError, ParallelSinogram, make_fan_geometry
+from .filtering import backproject, fbp_normalization, ramp_filter
+from .forward import _rebin_to_fan, rebin_to_linear
 from .gridfile import read_grid, write_grid
 from .phantom import analytic_radon, load_ellipse_config, rasterize, shepp_logan_ellipses
-from .rebinning import adjoint_rebin_linear, adjoint_rebin_standard
-from .reference import backproject_linear_fan, backproject_standard_fan
-from .series import linear_fan_backproject, standard_fan_backproject
+from .rebinning import adjoint_rebin_linear
 
 
 class InputError(Exception):
@@ -93,59 +91,35 @@ def _cmd_project(args) -> int:
     geom = make_fan_geometry(args.d)
     n_det = args.n_det or p.n_t
     n_beta = args.n_beta or p.n_theta
-    if args.geometry == "standard":
-        sino = rebin_to_standard(p, geom, n_det, n_beta)
-        det_range = (-geom.gamma_max, geom.gamma_max)
-    else:
-        sino = rebin_to_linear(p, geom, n_det, n_beta)
-        det_range = (-geom.s_max, geom.s_max)
-    write_grid(args.out, sino.data, (0.0, geom.beta_span), det_range)
+    sino = _rebin_to_fan(p, geom, FAN_SINOGRAMS[args.geometry], n_det, n_beta)
+    half_width = sino.detector.half_width(geom)
+    write_grid(args.out, sino.data, (0.0, geom.beta_span), (-half_width, half_width))
     if args.preview:
         write_pgm(args.preview, sino.data)
     return 0
 
 
-def _fan_from_grid(path, geometry: str):
+def _fan_from_grid(path, geometry: str) -> FanSinogram:
     grid = read_grid(path)
-    det_max = grid.axis1[1]
-    if geometry == "standard":
-        if not (0.0 < det_max < math.pi / 2):
-            raise InputError(f"{path}: gamma range {grid.axis1} not a standard fan detector")
-        d = 1.0 / math.sin(det_max)
-    else:
-        if det_max <= 1.0:
-            raise InputError(f"{path}: s range {grid.axis1} not a linear fan detector")
-        d = det_max / math.sqrt(det_max**2 - 1.0)
-    geom = make_fan_geometry(d)
+    sinogram = FAN_SINOGRAMS[geometry]
+    half_width = grid.axis1[1]
+    lo, hi = sinogram.detector.half_width_range
+    if not (lo < half_width < hi):
+        raise InputError(f"{path}: detector range {grid.axis1} not a {geometry} fan detector")
+    geom = make_fan_geometry(sinogram.detector.d_of_half_width(half_width))
     if abs(grid.axis0[1] - geom.beta_span) > 1e-6 or abs(grid.axis0[0]) > 1e-9:
         raise InputError(
             f"{path}: beta range {grid.axis0} inconsistent with {geometry} geometry "
             f"(expected [0, {geom.beta_span:.9f}))"
         )
-    if geometry == "standard":
-        return StandardFanSinogram(grid.data, geom)
-    return LinearFanSinogram(grid.data, geom)
-
-
-def _backproject(sino, method: str, n: int, eps: float) -> ImageGrid:
-    standard = isinstance(sino, StandardFanSinogram)
-    if method == "direct":
-        return backproject_standard_fan(sino, n) if standard else backproject_linear_fan(sino, n)
-    if method == "rebin-bst":
-        adj = adjoint_rebin_standard if standard else adjoint_rebin_linear
-        return bst_backproject(adj(sino, sino.data.shape[1], 2 * sino.n_beta), n)
-    if method == "bessel":
-        back = standard_fan_backproject if standard else linear_fan_backproject
-        return back(sino, n, eps=eps)
-    raise InputError(f"unknown method {method!r}")
+    return sinogram(grid.data, geom)
 
 
 def _cmd_backproject(args) -> int:
     sino = _fan_from_grid(args.input, args.geometry)
-    img = _backproject(sino, args.method, args.n, args.eps)
-    data = img.data
+    data = backproject(sino, args.n, args.method, args.eps).data
     if args.filtered:
-        data = data * fbp_normalization(sino.geometry, args.method)
+        data = data * fbp_normalization(sino.geometry, args.method, detector=sino.detector)
     write_grid(args.out, data, (-1.0, 1.0), (-1.0, 1.0))
     if args.preview:
         write_pgm(args.preview, data)
@@ -175,8 +149,9 @@ def _random_ellipses(rng: np.random.Generator, count: int = 6):
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()] if args.sizes else []
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    # one row per distinct (method, size), in the order given
+    sizes = list(dict.fromkeys(int(s) for s in args.sizes.split(",") if s.strip())) if args.sizes else []
+    methods = list(dict.fromkeys(m.strip() for m in args.methods.split(",") if m.strip()))
     known = {"direct", "rebin-bst", "bessel", "bst"}
     bad = set(methods) - known
     if bad:
@@ -184,28 +159,26 @@ def _cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     ellipses = _random_ellipses(rng)
     geom = make_fan_geometry(args.d)
-    rows = []
+    cases = []
     for n in sizes:
-        p = analytic_radon(ellipses, n, n)
-        g = rebin_to_linear(p, geom, n, n)
-        q = adjoint_rebin_linear(g, n, 2 * n)
-        stages = {
-            "direct": lambda: backproject_linear_fan(g, n),
-            "rebin-bst": lambda: bst_backproject(adjoint_rebin_linear(g, n, 2 * n), n),
-            "bst": lambda: bst_backproject(q, n),
-            "bessel": lambda: linear_fan_backproject(g, n, eps=args.eps),
-        }
-        for method in methods:
-            times = []
-            for _ in range(args.repetitions):
+        g = rebin_to_linear(analytic_radon(ellipses, n, n), geom, n, n)
+        cases.append((n, g, adjoint_rebin_linear(g, n, 2 * n)))
+    # repetitions go round-robin over (size, method), so a phase in which
+    # the host runs slow lands on every size alike and not on one of them
+    times = {(method, n): [] for n in sizes for method in methods}
+    for _ in range(args.repetitions):
+        for n, g, q in cases:
+            for method in methods:
                 t0 = time.perf_counter()
-                stages[method]()
-                times.append(time.perf_counter() - t0)
-            rows.append((method, n, n, float(np.median(times))))
+                if method == "bst":  # the parallel backprojection alone, on precomputed q
+                    bst_backproject(q, n)
+                else:
+                    backproject(g, n, method, args.eps)
+                times[method, n].append(time.perf_counter() - t0)
     with open(args.out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "n", "n_theta", "seconds"])
-        writer.writerows(rows)
+        writer.writerows((method, n, n, float(np.median(t))) for (method, n), t in times.items())
     return 0
 
 

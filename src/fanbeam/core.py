@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -22,8 +23,13 @@ __all__ = [
     "ImageGrid",
     "ParallelSinogram",
     "FanGeometry",
+    "FanDetector",
+    "STANDARD",
+    "LINEAR",
+    "FanSinogram",
     "StandardFanSinogram",
     "LinearFanSinogram",
+    "FAN_SINOGRAMS",
     "PolarSpectrum",
     "make_fan_geometry",
     "image_coords",
@@ -138,53 +144,69 @@ def make_fan_geometry(d: float) -> FanGeometry:
 
 
 @dataclass(frozen=True)
-class StandardFanSinogram:
-    """w(gamma, beta) on [-gamma_max, gamma_max] x [0, beta_span).
+class FanDetector:
+    """Detector coordinate of a fan geometry, at source distance ``d``.
 
-    ``data`` has shape (n_beta, n_gamma).
+    The standard (equiangular, coordinate gamma) and linear (flat,
+    coordinate s) geometries differ only in the functions held here:
+
+    * ``half_width(geom)``: the detector half-width, gamma_max or s_max;
+    * ``angle(det, d)``: the fan angle of the ray through ``det``;
+    * ``t(det, d)``: the parallel offset of that ray;
+    * ``det_of_t(t, d)``: the inverse of ``t``;
+    * ``jacobian(t, d)``: the weight of the adjoint rebinning at offset t;
+    * ``d_of_half_width(h)``: the source distance whose detector has
+      half-width h, valid on the open interval ``half_width_range``.
     """
 
-    data: np.ndarray
-    geometry: FanGeometry
+    name: str
+    half_width: Callable[[FanGeometry], float]
+    angle: Callable
+    t: Callable
+    det_of_t: Callable
+    jacobian: Callable
+    d_of_half_width: Callable[[float], float]
+    half_width_range: tuple[float, float]
 
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 2:
-            raise ValueError(f"fan data must be (n_beta>=1, n_gamma>=2), got {d.shape}")
-        object.__setattr__(self, "data", _freeze(d))
 
-    @property
-    def n_beta(self) -> int:
-        return self.data.shape[0]
+STANDARD = FanDetector(
+    "standard",
+    half_width=lambda geom: geom.gamma_max,
+    angle=lambda gamma, d: gamma,
+    t=lambda gamma, d: d * np.sin(gamma),
+    det_of_t=lambda t, d: np.arcsin(t / d),
+    jacobian=lambda t, d: 1.0 / np.sqrt(d**2 - t**2),
+    d_of_half_width=lambda gamma_max: 1.0 / math.sin(gamma_max),
+    half_width_range=(0.0, math.pi / 2),
+)
 
-    @property
-    def n_gamma(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def gamma_grid(self) -> np.ndarray:
-        g = self.geometry.gamma_max
-        return np.linspace(-g, g, self.n_gamma)
-
-    @property
-    def beta_grid(self) -> np.ndarray:
-        return self.geometry.beta_span * np.arange(self.n_beta) / self.n_beta
+LINEAR = FanDetector(
+    "linear",
+    half_width=lambda geom: geom.s_max,
+    angle=lambda s, d: np.arctan(s / d),
+    t=lambda s, d: s * d / np.hypot(s, d),
+    det_of_t=lambda t, d: t * d / np.sqrt(d**2 - t**2),
+    jacobian=lambda t, d: d**3 / (d**2 - t**2) ** 1.5,
+    d_of_half_width=lambda s_max: s_max / math.sqrt(s_max**2 - 1.0),
+    half_width_range=(1.0, math.inf),
+)
 
 
 @dataclass(frozen=True)
-class LinearFanSinogram:
-    """g(s, beta) on [-s_max, s_max] x [0, beta_span).
+class FanSinogram:
+    """Fan data on [-h, h] x [0, beta_span), h the detector half-width.
 
-    ``data`` has shape (n_beta, n_s).
+    ``data`` has shape (n_beta, n_det); the subclass sets ``detector``.
     """
 
     data: np.ndarray
     geometry: FanGeometry
+    detector: ClassVar[FanDetector]
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 2:
-            raise ValueError(f"fan data must be (n_beta>=1, n_s>=2), got {d.shape}")
+            raise ValueError(f"fan data must be (n_beta>=1, n_det>=2), got {d.shape}")
         object.__setattr__(self, "data", _freeze(d))
 
     @property
@@ -192,17 +214,37 @@ class LinearFanSinogram:
         return self.data.shape[0]
 
     @property
-    def n_s(self) -> int:
+    def n_det(self) -> int:
         return self.data.shape[1]
 
     @property
-    def s_grid(self) -> np.ndarray:
-        s = self.geometry.s_max
-        return np.linspace(-s, s, self.n_s)
+    def det_grid(self) -> np.ndarray:
+        h = self.detector.half_width(self.geometry)
+        return np.linspace(-h, h, self.n_det)
 
     @property
     def beta_grid(self) -> np.ndarray:
         return self.geometry.beta_span * np.arange(self.n_beta) / self.n_beta
+
+
+class StandardFanSinogram(FanSinogram):
+    """w(gamma, beta) on [-gamma_max, gamma_max] x [0, beta_span)."""
+
+    detector = STANDARD
+    n_gamma = FanSinogram.n_det
+    gamma_grid = FanSinogram.det_grid
+
+
+class LinearFanSinogram(FanSinogram):
+    """g(s, beta) on [-s_max, s_max] x [0, beta_span)."""
+
+    detector = LINEAR
+    n_s = FanSinogram.n_det
+    s_grid = FanSinogram.det_grid
+
+
+# fan sinogram type by detector name, the names the CLI accepts
+FAN_SINOGRAMS = {cls.detector.name: cls for cls in (StandardFanSinogram, LinearFanSinogram)}
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 Filtering happens in the parallel domain before rebinning (fan-domain
 filter kernels are out of scope): each detector row is zero padded,
 multiplied by |sigma| up to a hard cutoff, and transformed back.  The
-reconstruction scale of the pipeline is a single constant per geometry
-and backprojection route, fixed once by reconstructing a calibration
-disk of known amplitude; the continuum value is 1/(4*pi).
+reconstruction scale is a single constant per fan detector, source
+distance and backprojection route, fixed once by reconstructing a
+calibration disk of known amplitude; the continuum value for the flat
+detector is 1/(4*pi).
+
+:func:`backproject` is the one dispatch over the three routes.
 """
 
 from __future__ import annotations
@@ -18,94 +21,105 @@ from scipy import fft as sfft
 
 from ._threads import get_workers
 from .bst import bst_backproject
-from .core import FanGeometry, ImageGrid, ParallelSinogram
-from .forward import rebin_to_linear
+from .core import (
+    FAN_SINOGRAMS,
+    LINEAR,
+    STANDARD,
+    FanDetector,
+    FanGeometry,
+    FanSinogram,
+    ImageGrid,
+    LinearFanSinogram,
+    ParallelSinogram,
+)
+from .forward import _rebin_to_fan
 from .phantom import analytic_radon, calibration_disk
-from .rebinning import adjoint_rebin_linear
-from .reference import backproject_linear_fan
-from .series import linear_fan_backproject
+from .rebinning import adjoint_rebin_linear, adjoint_rebin_standard
+from .reference import backproject_linear_fan, backproject_standard_fan
+from .series import linear_fan_backproject, standard_fan_backproject
 
-__all__ = ["ramp_filter", "fbp_normalization", "fbp_linear_pipeline"]
+__all__ = ["backproject", "ramp_filter", "fbp_normalization", "fbp_linear_pipeline"]
 
 _CALIBRATION_N = 128
 
 
-def ramp_filter(p: ParallelSinogram, cutoff_fraction: float = 1.0, window: str = "none") -> ParallelSinogram:
+def backproject(sino: FanSinogram, n: int, method: str = "bessel", eps: float = 1e-9) -> ImageGrid:
+    """Fan-beam backprojection of ``sino`` onto the n x n image by one route.
+
+    ``method`` is "direct" (pixel-driven reference), "rebin-bst" (adjoint
+    rebinning on the full circle, then the polar-frequency parallel
+    backprojection) or "bessel" (the Bessel-Neumann series, truncated at
+    ``eps``).
+    """
+    # the route functions are looked up as module globals on every call,
+    # so wrappers installed over them after import still see the calls
+    standard = sino.detector is STANDARD
+    if method == "direct":
+        return (backproject_standard_fan if standard else backproject_linear_fan)(sino, n)
+    if method == "rebin-bst":
+        adjoint = adjoint_rebin_standard if standard else adjoint_rebin_linear
+        return bst_backproject(adjoint(sino, sino.n_det, 2 * sino.n_beta), n)
+    if method == "bessel":
+        return (standard_fan_backproject if standard else linear_fan_backproject)(sino, n, eps=eps)
+    raise ValueError(f"unknown backprojection method {method!r}")
+
+
+def ramp_filter(p: ParallelSinogram, cutoff_fraction: float = 1.0) -> ParallelSinogram:
     """Multiply each row's spectrum by |sigma| up to cutoff_fraction x Nyquist.
 
-    ``window`` is "none" (hard cutoff) or "cosine" (half-cosine rolloff
-    to the cutoff).  Rows are zero padded to twice the detector length.
+    The cutoff is hard; rows are zero padded to twice the detector length.
     """
     if not (0.0 < cutoff_fraction <= 1.0):
         raise ValueError("cutoff_fraction must be in (0, 1]")
-    if window not in ("none", "cosine"):
-        raise ValueError(f"unknown window {window!r}")
     n_t = p.n_t
     dt = 2.0 / (n_t - 1)
     length = sfft.next_fast_len(2 * n_t, real=True)
     sigma = 2.0 * math.pi * np.arange(length // 2 + 1) / (length * dt)
     cutoff = cutoff_fraction * math.pi / dt
     mult = np.where(sigma <= cutoff, sigma, 0.0)
-    if window == "cosine":
-        mult = mult * np.where(sigma <= cutoff, np.cos(0.5 * math.pi * sigma / cutoff), 0.0)
     spec = sfft.rfft(p.data, n=length, axis=1, workers=get_workers())
     filtered = sfft.irfft(spec * mult[None, :], n=length, axis=1, workers=get_workers())
     return ParallelSinogram(filtered[:, :n_t], theta_span=p.theta_span)
 
 
-def _linear_backprojector(route: str):
-    if route == "bessel":
-        return lambda g, n, eps: linear_fan_backproject(g, n, eps=eps)
-    if route == "rebin-bst":
-        return lambda g, n, eps: bst_backproject(adjoint_rebin_linear(g, g.n_s, 2 * g.n_beta), n)
-    if route == "direct":
-        return lambda g, n, eps: backproject_linear_fan(g, n)
-    raise ValueError(f"unknown backprojection route {route!r}")
+def _filtered_backprojection(p: ParallelSinogram, geom: FanGeometry, sinogram, n: int, route: str, eps: float):
+    """ramp filter (parallel domain) -> rebin to the ``sinogram`` type -> backproject by ``route``."""
+    fan = _rebin_to_fan(ramp_filter(p), geom, sinogram, p.n_t, p.n_theta)
+    return backproject(fan, n, route, eps).data
 
 
 @lru_cache(maxsize=16)
-def _cached_normalization(d: float, route: str) -> float:
-    geom = FanGeometry(d)
+def _cached_normalization(detector: FanDetector, d: float, route: str) -> float:
     n = _CALIBRATION_N
-    disk = calibration_disk()
-    p = ramp_filter(analytic_radon(disk, n, n))
-    g = rebin_to_linear(p, geom, n, n)
-    img = _linear_backprojector(route)(g, n, 1e-9).data
+    p = analytic_radon(calibration_disk(), n, n)
+    img = _filtered_backprojection(p, FanGeometry(d), FAN_SINOGRAMS[detector.name], n, route, 1e-9)
     center = float(img[n // 2 - 1 : n // 2 + 1, n // 2 - 1 : n // 2 + 1].mean())
     if center <= 0:
         raise RuntimeError("calibration disk reconstructed with non-positive center")
     return 1.0 / center
 
 
-def fbp_normalization(geom: FanGeometry, route: str = "bessel") -> float:
+def fbp_normalization(geom: FanGeometry, route: str = "bessel", *, detector: FanDetector = LINEAR) -> float:
     """Reconstruction scale fixed by the calibration-disk procedure.
 
-    Computed once per (distance, route) at a fixed reference resolution
-    and cached; the unit-amplitude disk then reconstructs to 1.0 at the
-    center.  The value sits near the continuum constant 1/(4*pi).
+    Computed once per (detector, distance, route) at a fixed reference
+    resolution, through the chain that rebins to ``detector`` and
+    backprojects by ``route``, and cached; the unit-amplitude disk then
+    reconstructs to 1.0 at the center.  The linear value sits near the
+    continuum constant 1/(4*pi); the standard one is about D times
+    larger, because the standard backprojection weights each ray by the
+    inverse source distance 1/L ~ 1/D.
     """
-    _linear_backprojector(route)
-    return _cached_normalization(geom.d, route)
+    return _cached_normalization(detector, geom.d, route)
 
 
 def fbp_linear_pipeline(
-    p: ParallelSinogram,
-    geom: FanGeometry,
-    n: int,
-    eps: float = 1e-9,
-    route: str = "bessel",
-    cutoff_fraction: float = 1.0,
-    window: str = "none",
-    normalization: float | None = None,
+    p: ParallelSinogram, geom: FanGeometry, n: int, eps: float = 1e-9, route: str = "bessel"
 ) -> ImageGrid:
     """Reconstruct through the flat-detector chain the experiments use.
 
     ramp filter (parallel domain) -> rebin to the linear fan geometry ->
     backproject by ``route`` -> scale by the calibration constant.
     """
-    if normalization is None:
-        normalization = fbp_normalization(geom, route)
-    filtered = ramp_filter(p, cutoff_fraction, window)
-    g = rebin_to_linear(filtered, geom, p.n_t, p.n_theta)
-    img = _linear_backprojector(route)(g, n, eps)
-    return ImageGrid(img.data * normalization)
+    normalization = fbp_normalization(geom, route)
+    return ImageGrid(_filtered_backprojection(p, geom, LinearFanSinogram, n, route, eps) * normalization)

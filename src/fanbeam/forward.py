@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._interp import bilinear
-from .core import FanGeometry, LinearFanSinogram, ParallelSinogram, StandardFanSinogram
+from .core import FanGeometry, FanSinogram, LinearFanSinogram, ParallelSinogram, StandardFanSinogram
 
 __all__ = ["sample_parallel", "rebin_to_standard", "rebin_to_linear"]
 
@@ -41,29 +41,31 @@ def sample_parallel(p: ParallelSinogram, t, theta):
     return bilinear(ext, theta / dtheta, (t + 1.0) / dt)
 
 
+def _rebin_to_fan(
+    p: ParallelSinogram, geom: FanGeometry, sinogram: type[FanSinogram], n_det: int, n_beta: int
+) -> FanSinogram:
+    """Resample p onto the fan grid of the ``sinogram`` type (bilinear interpolation)."""
+    if n_det < 2 or n_beta < 1:
+        raise ValueError("need n_det >= 2 and n_beta >= 1")
+    detector = sinogram.detector
+    h = detector.half_width(geom)
+    det = np.linspace(-h, h, n_det)
+    beta = geom.beta_span * np.arange(n_beta) / n_beta
+    t = detector.t(det, geom.d)[None, :]
+    theta = beta[:, None] + detector.angle(det, geom.d)[None, :]
+    data = sample_parallel(p, np.broadcast_to(t, theta.shape), theta)
+    return sinogram(data, geom)
+
+
 def rebin_to_standard(
     p: ParallelSinogram, geom: FanGeometry, n_gamma: int, n_beta: int
 ) -> StandardFanSinogram:
     """Resample p onto the equiangular fan grid (bilinear interpolation)."""
-    if n_gamma < 2 or n_beta < 1:
-        raise ValueError("need n_gamma >= 2 and n_beta >= 1")
-    gamma = np.linspace(-geom.gamma_max, geom.gamma_max, n_gamma)
-    beta = geom.beta_span * np.arange(n_beta) / n_beta
-    t = geom.d * np.sin(gamma)[None, :]
-    theta = beta[:, None] + gamma[None, :]
-    data = sample_parallel(p, np.broadcast_to(t, theta.shape), theta)
-    return StandardFanSinogram(data, geom)
+    return _rebin_to_fan(p, geom, StandardFanSinogram, n_gamma, n_beta)
 
 
 def rebin_to_linear(
     p: ParallelSinogram, geom: FanGeometry, n_s: int, n_beta: int
 ) -> LinearFanSinogram:
     """Resample p onto the flat-detector fan grid (bilinear interpolation)."""
-    if n_s < 2 or n_beta < 1:
-        raise ValueError("need n_s >= 2 and n_beta >= 1")
-    s = np.linspace(-geom.s_max, geom.s_max, n_s)
-    beta = geom.beta_span * np.arange(n_beta) / n_beta
-    t = (s * geom.d / np.hypot(s, geom.d))[None, :]
-    theta = beta[:, None] + np.arctan(s / geom.d)[None, :]
-    data = sample_parallel(p, np.broadcast_to(t, theta.shape), theta)
-    return LinearFanSinogram(data, geom)
+    return _rebin_to_fan(p, geom, LinearFanSinogram, n_s, n_beta)

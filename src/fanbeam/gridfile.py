@@ -12,10 +12,14 @@ Layout (little-endian):
 Axis metadata stores the mathematical range of each axis: inclusive
 endpoints for radial axes (t, gamma, s, image coordinates), the open
 upper bound for the half-open angular axes (theta, beta).
+
+Readers reject a header whose dimensions disagree with the file size,
+and a payload holding NaN or infinity.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import NamedTuple
 
@@ -55,8 +59,13 @@ def read_grid(path) -> GridFile:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if dtype != DTYPE_F64LE:
             raise ValueError(f"{path}: unsupported dtype code {dtype}")
-        payload = fh.read(rows * cols * 8 + 1)
-    if len(payload) != rows * cols * 8:
-        raise ValueError(f"{path}: payload length mismatch")
+        # checked against the file size before anything is allocated
+        size = rows * cols * 8
+        held = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if held != size:
+            raise ValueError(f"{path}: payload length mismatch ({rows} x {cols} grid needs {size} bytes, file holds {held})")
+        payload = fh.read(size)
     data = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: payload holds non-finite values")
     return GridFile(data, (a0_min, a0_max), (a1_min, a1_max))

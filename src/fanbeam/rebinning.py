@@ -18,20 +18,20 @@ w(gamma, beta) = w(-gamma, beta + 2*gamma + pi), whose partner always
 lands inside the window.  The adjoint outputs therefore live on
 theta in [0, 2*pi), and the parallel backprojection that consumes them
 integrates over the full circle without the evenness factor 2.
+
+The detector maps and Jacobians live in :class:`fanbeam.core.FanDetector`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._interp import bilinear
-from .core import LinearFanSinogram, ParallelSinogram, StandardFanSinogram
+from .core import FanSinogram, LinearFanSinogram, ParallelSinogram, StandardFanSinogram
 
 __all__ = [
-    "ChangeOfVariables",
     "FanSampler",
     "adjoint_rebin_standard",
     "adjoint_rebin_linear",
@@ -44,28 +44,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChangeOfVariables:
-    """Closed forms of the fan change of variables for a given geometry."""
-
-    d: float
-
-    def gamma_of_t(self, t):
-        return np.arcsin(np.asarray(t, dtype=np.float64) / self.d)
-
-    def s_of_t(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return t * self.d / np.sqrt(self.d**2 - t**2)
-
-    def jac_s(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return 1.0 / np.sqrt(self.d**2 - t**2)
-
-    def jac_l(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return self.d**3 / (self.d**2 - t**2) ** 1.5
-
-
 class FanSampler:
     """Bilinear evaluation of a fan sinogram anywhere on the full circle.
 
@@ -76,18 +54,12 @@ class FanSampler:
     return zero.
     """
 
-    def __init__(self, sino):
+    def __init__(self, sino: FanSinogram):
         geom = sino.geometry
         self.beta_span = geom.beta_span
         self.d = geom.d
-        if isinstance(sino, StandardFanSinogram):
-            self.half_width = geom.gamma_max
-            self._angle_of = lambda det: det
-        elif isinstance(sino, LinearFanSinogram):
-            self.half_width = geom.s_max
-            self._angle_of = lambda det: np.arctan(det / self.d)
-        else:
-            raise TypeError(f"unsupported sinogram type {type(sino).__name__}")
+        self.detector = sino.detector
+        self.half_width = self.detector.half_width(geom)
         data = sino.data
         n_beta, n_det = data.shape
         self.dbeta = self.beta_span / n_beta
@@ -96,7 +68,7 @@ class FanSampler:
         # wrap row: value at beta_span equals the symmetry partner at -det;
         # the partner angle lies in [0, beta_span] exactly, so clamp the
         # roundoff of beta_span - pi
-        wrap_beta = np.clip(2.0 * self._angle_of(det) + (self.beta_span - math.pi), 0.0, self.beta_span)
+        wrap_beta = np.clip(2.0 * self.detector.angle(det, self.d) + (self.beta_span - math.pi), 0.0, self.beta_span)
         wrap = bilinear(data, wrap_beta / self.dbeta, np.arange(n_det)[::-1].astype(np.float64))
         self.ext = np.vstack([data, wrap])
 
@@ -105,7 +77,7 @@ class FanSampler:
         beta = np.mod(np.asarray(beta, dtype=np.float64), 2.0 * math.pi)
         det, beta = np.broadcast_arrays(det, beta)
         partner = beta > self.beta_span
-        angle = self._angle_of(det)
+        angle = self.detector.angle(det, self.d)
         det = np.where(partner, -det, det)
         beta = np.where(partner, beta + 2.0 * angle - math.pi, beta)
         return bilinear(self.ext, beta / self.dbeta, (det + self.half_width) / self.ddet)
@@ -121,31 +93,26 @@ def sample_linear_fan(g: LinearFanSinogram, s, beta):
     return FanSampler(g).sample(s, beta)
 
 
-def _adjoint_grids(n_t: int, n_theta2pi: int):
+def _adjoint_rebin(sino: FanSinogram, n_t: int, n_theta2pi: int) -> ParallelSinogram:
     if n_t < 2 or n_theta2pi < 2:
         raise ValueError("need n_t >= 2 and n_theta2pi >= 2")
+    d = sino.geometry.d
     t = np.linspace(-1.0, 1.0, n_t)
     theta = 2.0 * math.pi * np.arange(n_theta2pi) / n_theta2pi
-    return t, theta
+    gamma = np.arcsin(t / d)[None, :]  # fan angle of the ray at offset t, either detector
+    det = sino.detector.det_of_t(t, d)[None, :]
+    vals = FanSampler(sino).sample(det, theta[:, None] - gamma)
+    return ParallelSinogram(vals * sino.detector.jacobian(t, d)[None, :], theta_span=2.0 * math.pi)
 
 
 def adjoint_rebin_standard(w: StandardFanSinogram, n_t: int, n_theta2pi: int) -> ParallelSinogram:
     """M_s* : standard fan sinogram -> parallel sinogram on [0, 2*pi)."""
-    cov = ChangeOfVariables(w.geometry.d)
-    t, theta = _adjoint_grids(n_t, n_theta2pi)
-    gamma = cov.gamma_of_t(t)[None, :]
-    vals = FanSampler(w).sample(gamma, theta[:, None] - gamma)
-    return ParallelSinogram(vals * cov.jac_s(t)[None, :], theta_span=2.0 * math.pi)
+    return _adjoint_rebin(w, n_t, n_theta2pi)
 
 
 def adjoint_rebin_linear(g: LinearFanSinogram, n_t: int, n_theta2pi: int) -> ParallelSinogram:
     """M_l* : linear fan sinogram -> parallel sinogram on [0, 2*pi)."""
-    cov = ChangeOfVariables(g.geometry.d)
-    t, theta = _adjoint_grids(n_t, n_theta2pi)
-    gamma = cov.gamma_of_t(t)[None, :]
-    s = cov.s_of_t(t)[None, :]
-    vals = FanSampler(g).sample(s, theta[:, None] - gamma)
-    return ParallelSinogram(vals * cov.jac_l(t)[None, :], theta_span=2.0 * math.pi)
+    return _adjoint_rebin(g, n_t, n_theta2pi)
 
 
 def linear_to_standard(g: LinearFanSinogram, n_gamma: int) -> StandardFanSinogram:

@@ -47,7 +47,6 @@ __all__ = [
     "evaluate_series",
     "standard_fan_backproject",
     "linear_fan_backproject",
-    "estimate_dc",
 ]
 
 _RESCALE = 2.0**832  # exact power of two near 1e250
@@ -78,7 +77,6 @@ class SeriesCoefficients:
 class BesselTable:
     """Lookup table values[n, k] = J_n(D * sigma_k) for n = 0 .. n_terms-1."""
 
-    orders: np.ndarray
     sigmas: np.ndarray
     values: np.ndarray
 
@@ -161,13 +159,12 @@ def bessel_table(geom: FanGeometry, n_terms: int, sigma_grid) -> BesselTable:
         raise ValueError("n_terms must be >= 1")
     sigmas = np.asarray(sigma_grid, dtype=np.float64)
     values = _bessel_matrix(geom.d * sigmas, n_terms)
-    return BesselTable(orders=np.arange(n_terms), sigmas=sigmas, values=values)
+    return BesselTable(sigmas=sigmas, values=values)
 
 
 @lru_cache(maxsize=8)
-def _cached_table_values(d: float, n_terms: int, n_sigma: int, sigma_max: float) -> np.ndarray:
-    sigma = np.linspace(0.0, sigma_max, n_sigma)
-    return _bessel_matrix(d * sigma, n_terms)
+def _cached_table(geom: FanGeometry, n_terms: int, n_sigma: int, sigma_max: float) -> BesselTable:
+    return bessel_table(geom, n_terms, np.linspace(0.0, sigma_max, n_sigma))
 
 
 def _circle_embedding(Z: np.ndarray, gamma: np.ndarray, padding_factor: int, n_terms: int):
@@ -253,18 +250,15 @@ def evaluate_series(coeffs: SeriesCoefficients, table: BesselTable) -> np.ndarra
     return (J.T @ b_re).T + 1j * (J.T @ b_im).T
 
 
-def _series_image(
-    z: StandardFanSinogram, source_sino, n: int, eps: float, padding_factor: int, dc
-) -> ImageGrid:
+def _series_image(z: StandardFanSinogram, source_sino, n: int, eps: float, dc) -> ImageGrid:
     geom = z.geometry
     n_theta2 = 2 * z.n_beta
     Z = shear_to_theta(z, n_theta2)
     sigma_max = math.pi * n / 2.0
     n_sigma = 2 * n + 1
     n_terms = choose_truncation(geom, sigma_max, eps)
-    coeffs = fourier_coefficients_gamma(Z, z.gamma_grid, n_terms, padding_factor, keep_c=False)
-    values = _cached_table_values(geom.d, n_terms, n_sigma, sigma_max)
-    table = BesselTable(np.arange(n_terms), np.linspace(0.0, sigma_max, n_sigma), values)
+    coeffs = fourier_coefficients_gamma(Z, z.gamma_grid, n_terms, keep_c=False)
+    table = _cached_table(geom, n_terms, n_sigma, sigma_max)
     S = evaluate_series(coeffs, table)
     sigma = table.sigmas
     spec = np.zeros_like(S)
@@ -273,28 +267,16 @@ def _series_image(
     return ImageGrid(restore_dc(img, source_sino, dc))
 
 
-def standard_fan_backproject(
-    w: StandardFanSinogram, n: int, eps: float = 1e-9, padding_factor: int = 4, dc="mass"
-) -> ImageGrid:
+def standard_fan_backproject(w: StandardFanSinogram, n: int, eps: float = 1e-9, dc="mass") -> ImageGrid:
     """Series backprojection of an equiangular fan sinogram."""
-    return _series_image(w, w, n, eps, padding_factor, dc)
+    return _series_image(w, w, n, eps, dc)
 
 
-def linear_fan_backproject(
-    g: LinearFanSinogram, n: int, eps: float = 1e-9, padding_factor: int = 4, dc="mass"
-) -> ImageGrid:
+def linear_fan_backproject(g: LinearFanSinogram, n: int, eps: float = 1e-9, dc="mass") -> ImageGrid:
     """Series backprojection of a flat-detector fan sinogram.
 
     Two steps: switch to the equiangular parametrization (L, then the
     tau = D sec^2 gamma weight), then the standard series route.
     """
     z = apply_tau(linear_to_standard(g, g.n_s))
-    return _series_image(z, g, n, eps, padding_factor, dc)
-
-
-def estimate_dc(sino) -> float:
-    """Detector average of the first projection row (beta = 0 policy)."""
-    data = getattr(sino, "data", None)
-    if data is None or data.shape[0] < 1:
-        raise ValueError("sinogram has no projection rows")
-    return float(np.mean(data[0]))
+    return _series_image(z, g, n, eps, dc)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fanbeam.cli import main
-from fanbeam.gridfile import read_grid
+from fanbeam.gridfile import read_grid, write_grid
 
 
 def run(*argv):
@@ -73,6 +73,12 @@ class TestProjectCommand:
     def test_missing_input_exits_2(self, tmp_path):
         assert run("project", "--in", tmp_path / "none.grd", "--geometry", "linear", "--out", tmp_path / "g.grd") == 2
 
+    def test_non_finite_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.grd"
+        write_grid(path, np.full((16, 16), np.nan), (0.0, math.pi), (-1.0, 1.0))
+        assert run("project", "--in", path, "--geometry", "linear", "--out", tmp_path / "g.grd") == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def linear_file(parallel_file, tmp_path_factory):
@@ -117,6 +123,25 @@ class TestBackprojectCommand:
     def test_missing_input_exits_2(self, tmp_path):
         assert run("backproject", "--in", tmp_path / "none.grd", "--geometry", "linear", "--n", 32,
                    "--out", tmp_path / "x.grd") == 2
+
+    def test_oversized_header_exits_2(self, linear_file, tmp_path, capsys):
+        raw = bytearray(linear_file.read_bytes())
+        raw[9:17] = (4_000_000_000).to_bytes(4, "little") * 2
+        bad = tmp_path / "huge.grd"
+        bad.write_bytes(bytes(raw))
+        assert run("backproject", "--in", bad, "--geometry", "linear", "--n", 32, "--out", tmp_path / "x.grd") == 2
+        assert "payload length" in capsys.readouterr().err
+
+    def test_standard_filtered_reconstructs_phantom(self, tmp_path):
+        from conftest import rel_l2
+
+        n = 256
+        p, w, out, truth = (tmp_path / name for name in ("p.grd", "w.grd", "rec.grd", "truth.grd"))
+        assert run("phantom", "--n", n, "--sinogram", "--out", p) == 0
+        assert run("phantom", "--n", n, "--out", truth) == 0
+        assert run("project", "--in", p, "--geometry", "standard", "--filtered", "--out", w) == 0
+        assert run("backproject", "--in", w, "--geometry", "standard", "--n", n, "--filtered", "--out", out) == 0
+        assert rel_l2(read_grid(out).data, read_grid(truth).data) < 0.15
 
 
 def test_threads_flag_and_env(tmp_path, monkeypatch):

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanbeam import (
+    LINEAR,
+    STANDARD,
     GeometryError,
     ImageGrid,
+    LinearFanSinogram,
     ParallelSinogram,
     PolarSpectrum,
     StandardFanSinogram,
@@ -79,9 +82,28 @@ class TestContainers:
         b = w.beta_grid
         assert b[0] == 0.0 and b[-1] < geom.beta_span
 
+    def test_empty_fan_sinogram_rejected(self):
+        with pytest.raises(ValueError):
+            LinearFanSinogram(np.zeros((0, 8)), make_fan_geometry(10.0))
+
     def test_polar_spectrum_grids(self):
         spec = PolarSpectrum(np.zeros((8, 5), dtype=complex), sigma_max=4.0)
         np.testing.assert_allclose(spec.sigma_grid, [0, 1, 2, 3, 4])
         assert spec.theta_grid[-1] < 2 * math.pi
         with pytest.raises(ValueError):
             PolarSpectrum(np.zeros((8, 5), dtype=complex), sigma_max=0.0)
+
+
+@pytest.mark.parametrize("detector", [STANDARD, LINEAR], ids=lambda det: det.name)
+def test_fan_detector_maps_consistent(detector):
+    geom = make_fan_geometry(10.0)
+    h = detector.half_width(geom)
+    lo, hi = detector.half_width_range
+    assert lo < h < hi
+    assert detector.d_of_half_width(h) == pytest.approx(geom.d, rel=1e-14)
+    # the edge of the detector sees the edge of the unit disk
+    assert detector.t(h, geom.d) == pytest.approx(1.0, rel=1e-14)
+    det = np.linspace(-h, h, 9)
+    t = detector.t(det, geom.d)
+    np.testing.assert_allclose(detector.det_of_t(t, geom.d), det, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(detector.angle(det, geom.d), np.arcsin(t / geom.d), rtol=1e-14, atol=1e-15)

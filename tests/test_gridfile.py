@@ -53,3 +53,24 @@ def test_truncated_payload_rejected(tmp_path):
 def test_non_2d_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_grid(tmp_path / "x.bin", np.zeros(5), (0, 1), (0, 1))
+
+
+def test_oversized_header_rejected(tmp_path):
+    # a header claiming 4e9 x 4e9 is refused from the file size, before any read
+    path = tmp_path / "huge.bin"
+    write_grid(path, np.zeros((2, 2)), (0.0, 1.0), (0.0, 1.0))
+    raw = bytearray(path.read_bytes())
+    raw[9:17] = (4_000_000_000).to_bytes(4, "little") * 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="payload length"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected(tmp_path, bad):
+    path = tmp_path / "nan.bin"
+    data = np.zeros((3, 4))
+    data[1, 2] = bad
+    write_grid(path, data, (0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        read_grid(path)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fanbeam import (
-    ChangeOfVariables,
+    LINEAR,
+    STANDARD,
     LinearFanSinogram,
     StandardFanSinogram,
     adjoint_rebin_linear,
@@ -19,18 +20,17 @@ from fanbeam._interp import bilinear
 
 
 class TestChangeOfVariables:
+    # the change of variables t -> detector coordinate, held by the two detectors
     def test_closed_forms(self):
-        cov = ChangeOfVariables(10.0)
         t = np.linspace(-1, 1, 11)
-        np.testing.assert_allclose(cov.gamma_of_t(t), np.arcsin(t / 10))
-        np.testing.assert_allclose(cov.s_of_t(t), t * 10 / np.sqrt(100 - t**2))
-        assert (cov.jac_s(t) > 0).all() and (cov.jac_l(t) > 0).all()
+        np.testing.assert_allclose(STANDARD.det_of_t(t, 10.0), np.arcsin(t / 10))
+        np.testing.assert_allclose(LINEAR.det_of_t(t, 10.0), t * 10 / np.sqrt(100 - t**2))
+        assert (STANDARD.jacobian(t, 10.0) > 0).all() and (LINEAR.jacobian(t, 10.0) > 0).all()
 
     def test_jac_l_edge_value(self):
-        cov = ChangeOfVariables(10.0)
         expected = 1000.0 / 99.0**1.5
-        assert cov.jac_l(1.0) == pytest.approx(expected, rel=1e-14)
-        assert cov.jac_l(-1.0) == pytest.approx(expected, rel=1e-14)
+        assert LINEAR.jacobian(1.0, 10.0) == pytest.approx(expected, rel=1e-14)
+        assert LINEAR.jacobian(-1.0, 10.0) == pytest.approx(expected, rel=1e-14)
 
 
 class TestAdjointRebin:
