@@ -1,11 +1,10 @@
 """Shared bilinear sampling helpers.
 
-All rebinning and backprojection operators sample 2-D grids at scattered
-points with bilinear weights.  Samples outside the grid evaluate to zero
-(compactly supported data); the polar variant wraps the angular (row)
-axis periodically instead.  A tiny index-space tolerance keeps samples
-computed through different floating-point paths from falling off an
-inclusive boundary.
+The rebinning operators sample 2-D grids at scattered points with
+bilinear weights.  Samples outside the grid evaluate to zero (compactly
+supported data).  A tiny index-space tolerance keeps samples computed
+through different floating-point paths from falling off an inclusive
+boundary; the polar resampling in ``bst`` shares it.
 """
 
 from __future__ import annotations
@@ -32,33 +31,6 @@ def bilinear(grid: np.ndarray, u, v):
         + grid[i0 + 1, j0] * fu * (1.0 - fv)
         + grid[i0, j0 + 1] * (1.0 - fu) * fv
         + grid[i0 + 1, j0 + 1] * fu * fv
-    )
-    return np.where(inside, out, 0.0)
-
-
-def bilinear_periodic_rows(grid: np.ndarray, u, v):
-    """Like :func:`bilinear` but with the row axis 2*pi-periodic.
-
-    ``u`` is interpreted modulo the number of rows; columns outside
-    [0, nc-1] still evaluate to zero.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nr, nc = grid.shape
-    inside = (v >= -_EDGE_TOL) & (v <= nc - 1.0 + _EDGE_TOL)
-    vc = np.clip(v, 0.0, nc - 1.0)
-    j0 = np.minimum(vc.astype(np.intp), nc - 2) if nc > 1 else np.zeros_like(vc, dtype=np.intp)
-    fv = vc - j0
-    um = np.mod(u, nr)
-    i0 = um.astype(np.intp)
-    fu = um - i0
-    i0 = np.mod(i0, nr)
-    i1 = np.mod(i0 + 1, nr)
-    out = (
-        grid[i0, j0] * (1.0 - fu) * (1.0 - fv)
-        + grid[i1, j0] * fu * (1.0 - fv)
-        + grid[i0, j0 + 1] * (1.0 - fu) * fv
-        + grid[i1, j0 + 1] * fu * fv
     )
     return np.where(inside, out, 0.0)
 

@@ -102,7 +102,9 @@ def _cmd_project(args) -> int:
 def _fan_from_grid(path, geometry: str) -> FanSinogram:
     grid = read_grid(path)
     sinogram = FAN_SINOGRAMS[geometry]
-    half_width = grid.axis1[1]
+    start, half_width = grid.axis1
+    if abs(start + half_width) > 1e-9 * abs(half_width):
+        raise InputError(f"{path}: detector range {grid.axis1} is not symmetric about 0")
     lo, hi = sinogram.detector.half_width_range
     if not (lo < half_width < hi):
         raise InputError(f"{path}: detector range {grid.axis1} not a {geometry} fan detector")

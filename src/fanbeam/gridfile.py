@@ -13,8 +13,10 @@ Axis metadata stores the mathematical range of each axis: inclusive
 endpoints for radial axes (t, gamma, s, image coordinates), the open
 upper bound for the half-open angular axes (theta, beta).
 
-Readers reject a header whose dimensions disagree with the file size,
-and a payload holding NaN or infinity.
+Writers replace the target only once the whole file is written, so a
+failed write leaves an existing file intact.  Readers reject a header
+whose dimensions disagree with the file size, and a payload holding NaN
+or infinity.
 """
 
 from __future__ import annotations
@@ -44,9 +46,17 @@ def write_grid(path, data: np.ndarray, axis0: tuple[float, float], axis1: tuple[
         raise ValueError("grid payload must be 2-D")
     rows, cols = data.shape
     header = _HEADER.pack(MAGIC, DTYPE_F64LE, rows, cols, axis0[0], axis0[1], axis1[0], axis1[1])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
+    # a temporary file beside the target, renamed over it once complete
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(header)
+            fh.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_grid(path) -> GridFile:

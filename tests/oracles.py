@@ -71,6 +71,49 @@ def backproject_parallel_loops(p_data, theta_span, n):
     return out
 
 
+def polar_to_cartesian_full_plane(data, sigma_max, n, step):
+    """Bilinear polar-to-Cartesian resampling over the whole n x n plane.
+
+    Samples the real and imaginary parts of the polar grid (rows theta,
+    2*pi-periodic; columns sigma, zero beyond sigma_max) at every centred
+    node m*step, zeroes the unpartnered -n/2 lines of an even n, then
+    averages the grid with its flipped conjugate.
+    """
+    n_theta, n_sigma = data.shape
+    m = np.arange(n) - n // 2
+    k1 = step * m[None, :]
+    k2 = step * m[:, None]
+    u = np.mod(np.arctan2(k2, k1), 2.0 * math.pi) / (2.0 * math.pi / n_theta)
+    v = np.hypot(k1, k2) / (sigma_max / (n_sigma - 1))
+    inside = v <= n_sigma - 1.0 + 1e-9
+    vc = np.minimum(v, n_sigma - 1.0)
+    j0 = np.minimum(vc.astype(int), n_sigma - 2)
+    fv = vc - j0
+    um = np.mod(u, n_theta)
+    i0 = um.astype(int)
+    fu = um - i0
+    i0 = np.mod(i0, n_theta)
+    i1 = np.mod(i0 + 1, n_theta)
+
+    def sample(part):
+        out = (
+            part[i0, j0] * (1.0 - fu) * (1.0 - fv)
+            + part[i1, j0] * fu * (1.0 - fv)
+            + part[i0, j0 + 1] * (1.0 - fu) * fv
+            + part[i1, j0 + 1] * fu * fv
+        )
+        return np.where(inside, out, 0.0)
+
+    grid = sample(data.real) + 1j * sample(data.imag)
+    if n % 2 == 0:
+        grid[0, :] = 0.0
+        grid[:, 0] = 0.0
+    flipped = grid[::-1, ::-1]
+    if n % 2 == 0:
+        flipped = np.roll(np.roll(flipped, 1, axis=0), 1, axis=1)
+    return 0.5 * (grid + np.conj(flipped))
+
+
 def bessel_power_series(order, x, terms=200):
     """J_n(x) from the defining power series, summed to convergence."""
     term = (x / 2.0) ** order / math.gamma(order + 1)

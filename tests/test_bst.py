@@ -9,11 +9,13 @@ from fanbeam import (
     PolarSpectrum,
     analytic_radon,
     backproject_parallel,
+    bst,
     bst_backproject,
     polar_to_cartesian,
 )
 
 from conftest import disk_mask, rel_l2
+from oracles import polar_to_cartesian_full_plane
 
 
 def random_ellipse_phantom(seed, count=5):
@@ -108,3 +110,36 @@ class TestPolarToCartesian:
         np.testing.assert_allclose(grid[on_ring].real, 1.0, atol=1e-9)
         off_ring = (np.abs(sigma - k0) >= 1.0) & (sigma < n_sigma - 2)
         np.testing.assert_allclose(grid[off_ring], 0.0, atol=1e-9)
+
+
+class TestCachedResampling:
+    @pytest.mark.parametrize("n", [24, 25])
+    @pytest.mark.parametrize("n_theta", [64, 63])
+    def test_matches_full_plane_formula(self, n, n_theta):
+        # the disk sigma <= 14 ends inside the grid, so its edge is sampled too
+        rng = np.random.default_rng(1000 * n + n_theta)
+        data = rng.standard_normal((n_theta, 33)) + 1j * rng.standard_normal((n_theta, 33))
+        ref = polar_to_cartesian_full_plane(data, 14.0, n, 1.0)
+        grid = polar_to_cartesian(PolarSpectrum(data, sigma_max=14.0), n, step=1.0)
+        assert np.linalg.norm(grid - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_second_call_with_same_shape_is_a_cache_hit(self):
+        bst._quarter_plane_operator.cache_clear()
+        data = np.ones((32, 17), dtype=complex)
+        polar_to_cartesian(PolarSpectrum(data, sigma_max=8.0), 16, step=1.0)
+        polar_to_cartesian(PolarSpectrum(2.0 * data, sigma_max=8.0), 16, step=1.0)
+        info = bst._quarter_plane_operator.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_spectrum_to_image_resolves_module_global(self, monkeypatch):
+        # a tracer that rebinds bst.polar_to_cartesian must see every call
+        calls = []
+        original = bst.polar_to_cartesian
+
+        def counting(spectrum, n, step=math.pi):
+            calls.append(n)
+            return original(spectrum, n, step=step)
+
+        monkeypatch.setattr(bst, "polar_to_cartesian", counting)
+        bst_backproject(analytic_radon([Ellipse((0, 0), (0.5, 0.5))], 16, 16), 16)
+        assert calls == [32]

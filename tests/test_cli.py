@@ -120,6 +120,13 @@ class TestBackprojectCommand:
         assert run("backproject", "--in", linear_file, "--geometry", "standard", "--n", 32,
                    "--out", tmp_path / "x.grd") == 2
 
+    def test_asymmetric_detector_range_exits_2(self, linear_file, tmp_path, capsys):
+        grid = read_grid(linear_file)
+        bad = tmp_path / "half.grd"
+        write_grid(bad, grid.data, grid.axis0, (0.0, grid.axis1[1]))
+        assert run("backproject", "--in", bad, "--geometry", "linear", "--n", 32, "--out", tmp_path / "x.grd") == 2
+        assert "not symmetric" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run("backproject", "--in", tmp_path / "none.grd", "--geometry", "linear", "--n", 32,
                    "--out", tmp_path / "x.grd") == 2

@@ -74,3 +74,35 @@ def test_non_finite_payload_rejected(tmp_path, bad):
     write_grid(path, data, (0.0, 1.0), (0.0, 1.0))
     with pytest.raises(ValueError, match="non-finite"):
         read_grid(path)
+
+
+def test_failed_write_keeps_existing_file(tmp_path, monkeypatch):
+    from fanbeam import gridfile
+
+    path = tmp_path / "grid.bin"
+    write_grid(path, np.ones((4, 4)), (0.0, 1.0), (0.0, 1.0))
+    before = path.read_bytes()
+
+    class FullDisk:
+        """Writes the header, then half the payload, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            if len(chunk) > gridfile._HEADER.size:
+                self.fh.write(chunk[: len(chunk) // 2])
+                raise OSError(28, "No space left on device")
+            return self.fh.write(chunk)
+
+    monkeypatch.setattr(gridfile, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_grid(path, np.zeros((8, 8)), (0.0, 1.0), (0.0, 1.0))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.bin"]
