@@ -52,27 +52,28 @@ _PAD_IMAGE = 2
 _BUILD_NODES = 1 << 16
 
 
-def _detector_spectrum(data: np.ndarray, t0: float, dt: float, pad: int = _PAD_T):
-    """Angular-frequency spectra of the rows: qhat(sigma_m, theta_row)."""
-    n_t = data.shape[1]
-    length = sfft.next_fast_len(pad * n_t, real=True)
+def _detector_spectrum(data: np.ndarray, t0: float, dt: float, length: int, sigma_max: float) -> PolarSpectrum:
+    """Polar spectrum (4*pi/sigma) qhat of rows sampled at t0 + j*dt, DC zeroed.
+
+    qhat(sigma_m, theta_row) comes from the rows zero padded to ``length``
+    samples, on the radii sigma_m = 2*pi*m/(length*dt) up to sigma_max.
+    """
     qhat = sfft.rfft(data, n=length, axis=1, workers=get_workers())
     sigma = 2.0 * math.pi * np.arange(qhat.shape[1]) / (length * dt)
-    qhat = qhat * (dt * np.exp(-1j * sigma * t0))[None, :]
-    return sigma, qhat
+    keep = int(np.searchsorted(sigma, sigma_max * (1.0 + 1e-12), side="right"))
+    keep = max(2, min(keep, sigma.size))
+    qhat = qhat[:, 1:keep] * (dt * np.exp(-1j * sigma[1:keep] * t0))[None, :]
+    spec = np.zeros((data.shape[0], keep), dtype=np.complex128)
+    spec[:, 1:] = 4.0 * math.pi / sigma[1:keep][None, :] * qhat
+    return PolarSpectrum(spec, sigma_max=float(sigma[keep - 1]))
 
 
 def sinogram_polar_spectrum(q: ParallelSinogram, sigma_max: float) -> PolarSpectrum:
     """Polar spectrum (4*pi/sigma) qhat of a full-circle sinogram, DC zeroed."""
     if not q.full_circle:
         raise ValueError("expected a full-circle sinogram")
-    dt = 2.0 / (q.n_t - 1)
-    sigma, qhat = _detector_spectrum(q.data, -1.0, dt)
-    keep = int(np.searchsorted(sigma, sigma_max * (1.0 + 1e-12), side="right"))
-    keep = max(2, min(keep, sigma.size))
-    spec = np.zeros((q.n_theta, keep), dtype=np.complex128)
-    spec[:, 1:] = 4.0 * math.pi / sigma[1:keep][None, :] * qhat[:, 1:keep]
-    return PolarSpectrum(spec, sigma_max=float(sigma[keep - 1]))
+    length = sfft.next_fast_len(_PAD_T * q.n_t, real=True)
+    return _detector_spectrum(q.data, -1.0, 2.0 / (q.n_t - 1), length, sigma_max)
 
 
 @functools.lru_cache(maxsize=2)
@@ -188,7 +189,9 @@ def spectrum_to_image(spectrum: PolarSpectrum, n: int) -> np.ndarray:
     Synthesizes on a grid padded to _PAD_IMAGE times the image extent and
     crops, which keeps the periodization alias of slowly decaying
     backprojections away from the unit disk.  The spectrum is Hermitian,
-    so only its k1 >= 0 half is phased and inverted, with ``irfft2``.
+    so only its k1 >= 0 half is phased and inverted: a complex inverse
+    FFT along k2, then a real one along k1 on only the rows the crop
+    keeps.
     """
     n2 = _PAD_IMAGE * n
     h = 2.0 / n
@@ -204,10 +207,15 @@ def spectrum_to_image(spectrum: PolarSpectrum, n: int) -> np.ndarray:
     spec[half:, :half] = grid[:half, half:]
     spec *= phase[:, None]
     spec *= phase[None, : half + 1]
-    img = sfft.irfft2(spec, s=(n2, n2), workers=get_workers())
-    img *= n2 * n2 * (step / (2.0 * math.pi)) ** 2
+    # unnormalized transforms; 1/n2^2 and the grid scale are applied apart,
+    # which rounds as irfft2 over the whole grid does
     q0 = n // 2
-    return np.ascontiguousarray(img[q0 : q0 + n, q0 : q0 + n])
+    rows = sfft.ifft(spec, axis=0, norm="forward", workers=get_workers())[q0 : q0 + n]
+    img = sfft.irfft(rows, n2, axis=1, norm="forward", workers=get_workers())[:, q0 : q0 + n]
+    img = np.ascontiguousarray(img)
+    img *= 1.0 / (n2 * n2)
+    img *= n2 * n2 * (step / (2.0 * math.pi)) ** 2
+    return img
 
 
 def _even_extend(p: ParallelSinogram) -> ParallelSinogram:

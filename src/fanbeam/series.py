@@ -10,15 +10,26 @@ the adjoint-rebinned sinogram collapses to
                        = sum_n b_n(theta) J_n(D sigma)
 
 with b_0 = 2*pi c_0 and b_n = 2*pi (c_n + (-1)^n c_{-n}) for n >= 1
-(Jacobi-Anger expansion folded with J_{-n} = (-1)^n J_n).  Weighting by
-1/sigma and resampling polar -> Cartesian as in :mod:`fanbeam.bst` then
-yields the fan backprojection without ever forming the rebinned
-parallel sinogram.  The flat-detector case reduces to the equiangular
-one through the geometry switch L and the weight tau = D sec^2 gamma.
+(Jacobi-Anger expansion folded with J_{-n} = (-1)^n J_n).  The
+flat-detector case reduces to the equiangular one through the geometry
+switch L and the weight tau = D sec^2 gamma.
 
-The truncated series is evaluated as a dense matrix product against a
-table of Bessel values J_n(D sigma) computed once per setup by downward
-(Miller) recurrence.
+qhat is the detector spectrum of a field q(t, theta) supported on
+t in [-1, 1], so its samples at sigma = k*pi fix it: they are q's
+period-2 Fourier coefficients, a_k = qhat(k*pi)/2.  The series is therefore
+evaluated only at sigma_k = k*pi, k = 0..n//2.  One inverse real FFT
+along k turns those values into n samples of q at t_j = -1 + 2j/n (the
+Nyquist term of an even n taken as real), and q then goes through the
+back end of :mod:`fanbeam.bst`: a detector FFT zero padded to exactly 4n
+samples, which gives the 2n+1 radii spaced pi/4 up to sigma_max = pi*n/2,
+the 1/sigma weight, the cached polar-to-Cartesian resampling and the
+inverse FFT.  The route never forms the rebinned parallel sinogram.
+
+For a real Z, b_n is real for even n and purely imaginary for odd n.  The
+weights and the table of Bessel values J_n(D sigma_k) are therefore kept
+by parity of n, and the truncated series is one real matrix product per
+parity.  The table comes from a downward (Miller) recurrence, is built
+once per setup and cached.
 """
 
 from __future__ import annotations
@@ -34,8 +45,8 @@ from scipy.special import gammaln
 from ._dc import restore_dc
 from ._interp import interp_or_zero
 from ._threads import get_workers
-from .bst import spectrum_to_image
-from .core import FanGeometry, ImageGrid, LinearFanSinogram, PolarSpectrum, StandardFanSinogram
+from .bst import _detector_spectrum, spectrum_to_image
+from .core import FanGeometry, ImageGrid, LinearFanSinogram, StandardFanSinogram
 from .rebinning import apply_tau, linear_to_standard, shear_to_theta
 
 __all__ = [
@@ -49,7 +60,7 @@ __all__ = [
     "linear_fan_backproject",
 ]
 
-_RESCALE = 2.0**832  # exact power of two near 1e250
+_RESCALE_EXP = 832  # columns near overflow are scaled by 2**-832, about 1e-250
 _THETA_CHUNK = 128
 
 
@@ -57,13 +68,26 @@ _THETA_CHUNK = 128
 class SeriesCoefficients:
     """Fourier coefficients of Z in gamma and the folded series weights.
 
-    ``b`` has shape (n_terms, n_theta).  ``c``, when kept, has shape
-    (2*n_terms - 1, n_theta) with row i holding order i - (n_terms - 1).
+    The weights b_n(theta) are stored by parity of n, each block
+    C-contiguous with shape (orders, n_theta): ``even`` row m holds
+    b_{2m}, ``odd`` row m holds b_{2m+1} / i.  For a real Z both blocks
+    are real (b_n is real for even n and imaginary for odd n).  ``c``,
+    when kept, has shape (2*n_terms - 1, n_theta) with row i holding
+    order i - (n_terms - 1).
     """
 
     n_terms: int
-    b: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
     c: np.ndarray | None = None
+
+    @property
+    def b(self) -> np.ndarray:
+        """All weights b_n(theta), n = 0..n_terms-1, as a new complex array."""
+        b = np.empty((self.n_terms, self.even.shape[1]), dtype=np.complex128)
+        b[0::2] = self.even
+        b[1::2] = 1j * self.odd
+        return b
 
     def c_order(self, n: int) -> np.ndarray:
         if self.c is None:
@@ -75,10 +99,28 @@ class SeriesCoefficients:
 
 @dataclass(frozen=True)
 class BesselTable:
-    """Lookup table values[n, k] = J_n(D * sigma_k) for n = 0 .. n_terms-1."""
+    """Values J_n(D * sigma_k) for n = 0 .. n_terms-1, stored by parity of n.
+
+    ``even[m, k]`` = J_{2m}(D sigma_k) and ``odd[m, k]`` = J_{2m+1}(D
+    sigma_k), each C-contiguous, so the series is one real matrix product
+    per parity.
+    """
 
     sigmas: np.ndarray
-    values: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+
+    @property
+    def n_terms(self) -> int:
+        return self.even.shape[0] + self.odd.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The whole table, values[n, k] = J_n(D * sigma_k), as a new array."""
+        values = np.empty((self.n_terms, self.sigmas.size))
+        values[0::2] = self.even
+        values[1::2] = self.odd
+        return values
 
 
 def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
@@ -113,9 +155,11 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     The recurrence starts well above both the requested orders and the
     turning point n ~ x, where J_n has decayed far below working
     precision, and is normalized with J_0 + 2*sum J_{2k} = 1.  Columns
-    are rescaled by an exact power of two whenever the running values
-    approach overflow; orders whose true magnitude underflows come out
-    as exact zeros.
+    are rescaled by 2**-832 whenever the running values approach
+    overflow.  A stored row owes every rescale of its column after it was
+    stored; each row records its column's rescale count when stored and
+    settles the difference at the end with one exact ``ldexp``.  Orders
+    whose true magnitude underflows come out as exact zeros.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros((n_terms, x.size))
@@ -130,10 +174,13 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     jp = np.zeros(xl.size)  # J_{n+1}, column-wise running scale
     jc = np.full(xl.size, 1e-30)  # J_{n_start} seed
     norm = np.zeros(xl.size)
+    count = np.zeros(xl.size, dtype=np.int32)  # rescales of each column so far
     raw = np.zeros((n_terms, xl.size))
+    shift = np.zeros((n_terms, xl.size), dtype=np.int32)  # count when each row was stored
     for n in range(n_start, -1, -1):
         if n < n_terms:
             raw[n] = jc
+            shift[n] = count
         if n == 0:
             norm += jc
         elif n % 2 == 0:
@@ -143,13 +190,16 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
             jp, jc = jc, jm
             big = np.abs(jc) > 1e250
             if big.any():
-                inv = 1.0 / _RESCALE
+                inv = 2.0**-_RESCALE_EXP
                 jc[big] *= inv
                 jp[big] *= inv
                 norm[big] *= inv
-                if n < n_terms:
-                    raw[n:][:, big] *= inv
-    out[:, live] = raw / norm[None, :]
+                count[big] += 1
+    shift -= count
+    shift *= _RESCALE_EXP
+    np.ldexp(raw, shift, out=raw)
+    raw /= norm
+    out[:, live] = raw
     return out
 
 
@@ -159,12 +209,13 @@ def bessel_table(geom: FanGeometry, n_terms: int, sigma_grid) -> BesselTable:
         raise ValueError("n_terms must be >= 1")
     sigmas = np.asarray(sigma_grid, dtype=np.float64)
     values = _bessel_matrix(geom.d * sigmas, n_terms)
-    return BesselTable(sigmas=sigmas, values=values)
+    return BesselTable(sigmas, np.ascontiguousarray(values[0::2]), np.ascontiguousarray(values[1::2]))
 
 
 @lru_cache(maxsize=8)
-def _cached_table(geom: FanGeometry, n_terms: int, n_sigma: int, sigma_max: float) -> BesselTable:
-    return bessel_table(geom, n_terms, np.linspace(0.0, sigma_max, n_sigma))
+def _cached_table(geom: FanGeometry, n_terms: int, n_sigma: int) -> BesselTable:
+    """The table on the radii sigma_k = k*pi, k = 0..n_sigma-1."""
+    return bessel_table(geom, n_terms, math.pi * np.arange(n_sigma))
 
 
 def _circle_embedding(Z: np.ndarray, gamma: np.ndarray, padding_factor: int, n_terms: int):
@@ -209,12 +260,16 @@ def fourier_coefficients_gamma(
         raise ValueError(f"n_terms={n_terms} exceeds half the padded grid ({m})")
     n_theta = Z.shape[0]
     is_complex = np.iscomplexobj(block)
-    b = np.empty((n_terms, n_theta), dtype=np.complex128)
+    dtype = np.complex128 if is_complex else np.float64
+    even = np.empty(((n_terms + 1) // 2, n_theta), dtype=dtype)
+    odd = np.empty((n_terms // 2, n_theta), dtype=dtype)
     c = np.empty((2 * n_terms - 1, n_theta), dtype=np.complex128) if keep_c else None
     signs = np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0)[:, None]
+    # every chunk writes the same support columns, so the rest stays zero
+    buffer = np.zeros((min(_THETA_CHUNK, n_theta), m), dtype=dtype)
     for lo in range(0, n_theta, _THETA_CHUNK):
         hi = min(lo + _THETA_CHUNK, n_theta)
-        pad = np.zeros((hi - lo, m), dtype=np.complex128 if is_complex else np.float64)
+        pad = buffer[: hi - lo]
         if k == 0 and block.shape[1] == m:
             pad[:] = block[lo:hi]
         else:
@@ -224,46 +279,60 @@ def fourier_coefficients_gamma(
             spec = sfft.fft(pad, axis=1, workers=get_workers()) / m
             c_pos = spec[:, :n_terms].T
             c_neg = np.concatenate([spec[:, :1], spec[:, m - n_terms + 1 :][:, ::-1]], axis=1).T
+            b = np.empty((n_terms, hi - lo), dtype=np.complex128)
+            b[0] = 2.0 * math.pi * c_pos[0]
+            b[1:] = 2.0 * math.pi * (c_pos[1:] + signs[1:] * c_neg[1:])
+            even[:, lo:hi] = b[0::2]
+            odd[:, lo:hi] = -1j * b[1::2]
         else:
-            spec = sfft.rfft(pad, axis=1, workers=get_workers()) / m
-            c_pos = spec[:, :n_terms].T
-            c_neg = np.conj(c_pos)
-        b[0, lo:hi] = 2.0 * math.pi * c_pos[0]
-        b[1:, lo:hi] = 2.0 * math.pi * (c_pos[1:] + signs[1:] * c_neg[1:])
+            # c_{-n} = conj c_n, so b_n = 4*pi Re c_n for even n >= 2 and
+            # 4*pi i Im c_n for odd n
+            c_pos = (sfft.rfft(pad, axis=1, workers=get_workers())[:, :n_terms] / m).T
+            c_neg = np.conj(c_pos) if keep_c else None
+            even[0, lo:hi] = 2.0 * math.pi * c_pos[0].real
+            even[1:, lo:hi] = 4.0 * math.pi * c_pos[2::2].real
+            odd[:, lo:hi] = 4.0 * math.pi * c_pos[1::2].imag
         if keep_c:
             c[n_terms - 1 :, lo:hi] = c_pos
             c[: n_terms - 1, lo:hi] = c_neg[1:][::-1]
-    return SeriesCoefficients(n_terms=n_terms, b=b, c=c)
+    return SeriesCoefficients(n_terms=n_terms, even=even, odd=odd, c=c)
+
+
+def _product(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """table.T @ weights as a real product; complex weights are pairs of real columns."""
+    if np.iscomplexobj(weights):
+        pairs = np.ascontiguousarray(weights).view(np.float64)
+        return (table.T @ pairs).view(np.complex128)
+    return table.T @ weights
 
 
 def evaluate_series(coeffs: SeriesCoefficients, table: BesselTable) -> np.ndarray:
-    """Truncated series sum_n b_n(theta) J_n(D sigma) as a matrix product.
+    """Truncated series sum_n b_n(theta) J_n(D sigma), one matrix product per parity of n.
 
     Returns a complex array of shape (n_theta, n_sigma).
     """
-    if table.values.shape[0] < coeffs.n_terms:
+    if table.n_terms < coeffs.n_terms:
         raise ValueError("Bessel table has fewer orders than the coefficients")
-    J = table.values[: coeffs.n_terms]
-    # contiguous operands keep the products on the fast BLAS path
-    b_re = np.ascontiguousarray(coeffs.b.real)
-    b_im = np.ascontiguousarray(coeffs.b.imag)
-    return (J.T @ b_re).T + 1j * (J.T @ b_im).T
+    even = _product(table.even[: coeffs.even.shape[0]], coeffs.even)
+    odd = _product(table.odd[: coeffs.odd.shape[0]], coeffs.odd)
+    return (even + 1j * odd).T
 
 
 def _series_image(z: StandardFanSinogram, source_sino, n: int, eps: float, dc) -> ImageGrid:
     geom = z.geometry
-    n_theta2 = 2 * z.n_beta
-    Z = shear_to_theta(z, n_theta2)
     sigma_max = math.pi * n / 2.0
-    n_sigma = 2 * n + 1
     n_terms = choose_truncation(geom, sigma_max, eps)
+    table = _cached_table(geom, n_terms, n // 2 + 1)
+    Z = shear_to_theta(z, 2 * z.n_beta)
     coeffs = fourier_coefficients_gamma(Z, z.gamma_grid, n_terms, keep_c=False)
-    table = _cached_table(geom, n_terms, n_sigma, sigma_max)
     S = evaluate_series(coeffs, table)
-    sigma = table.sigmas
-    spec = np.zeros_like(S)
-    spec[:, 1:] = 4.0 * math.pi / sigma[1:][None, :] * S[:, 1:]
-    img = spectrum_to_image(PolarSpectrum(spec, sigma_max), n)
+    # q on t_j = -1 + 2j/n from its period-2 Fourier coefficients a_k = S_k / 2
+    S[:, 1::2] *= -1.0
+    q = sfft.irfft(S, n, axis=1, norm="forward", workers=get_workers())
+    q *= 0.5
+    # zero padded to 4n samples: 2n+1 radii spaced pi/4 up to sigma_max
+    spec = _detector_spectrum(q, -1.0, 2.0 / n, 4 * n, sigma_max)
+    img = spectrum_to_image(spec, n)
     return ImageGrid(restore_dc(img, source_sino, dc))
 
 

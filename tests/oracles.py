@@ -1,14 +1,19 @@
 """Independent brute-force oracles the tests compare against.
 
 Everything here is deliberately written from the defining formulas with
-no code shared with the package internals beyond basic containers.
+no code shared with the package internals beyond basic containers; the
+one exception, ``series_image_dense``, is a reference for the series
+route's evaluation grid and runs the package's own stages.
 """
 
 import math
 
 import numpy as np
 
+from fanbeam import PolarSpectrum, bessel_table, choose_truncation, fourier_coefficients_gamma, shear_to_theta
+from fanbeam._dc import restore_dc
 from fanbeam._interp import bilinear
+from fanbeam.bst import spectrum_to_image
 
 
 def project_parallel_grid(img, n_t, n_theta):
@@ -131,3 +136,68 @@ def kernel_quadrature(Z, gamma, sigmas, d):
     dgamma = gamma[1] - gamma[0]
     kernel = np.exp(-1j * d * np.asarray(sigmas)[:, None] * np.sin(gamma)[None, :])
     return (Z @ kernel.T) * dgamma
+
+
+def bessel_matrix_rescale_loop(x, n_terms):
+    """J_n(x), n < n_terms, by normalized downward recurrence, rescaling stored rows as it goes.
+
+    Each time a column nears overflow, its running values and every row
+    already stored are multiplied by 2**-832 on the spot.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros((n_terms, x.size))
+    zero = x == 0.0
+    out[0, zero] = 1.0
+    live = ~zero
+    if not live.any():
+        return out
+    xl = x[live]
+    top = max(n_terms, math.ceil(float(xl.max())))
+    n_start = top + max(50, top // 5)
+    jp = np.zeros(xl.size)
+    jc = np.full(xl.size, 1e-30)
+    norm = np.zeros(xl.size)
+    raw = np.zeros((n_terms, xl.size))
+    for n in range(n_start, -1, -1):
+        if n < n_terms:
+            raw[n] = jc
+        if n == 0:
+            norm += jc
+        elif n % 2 == 0:
+            norm += 2.0 * jc
+        if n > 0:
+            jm = (2.0 * n / xl) * jc - jp
+            jp, jc = jc, jm
+            big = np.abs(jc) > 1e250
+            if big.any():
+                inv = 1.0 / 2.0**832
+                jc[big] *= inv
+                jp[big] *= inv
+                norm[big] *= inv
+                if n < n_terms:
+                    raw[n:][:, big] *= inv
+    out[:, live] = raw / norm[None, :]
+    return out
+
+
+def series_image_dense(z, source, n, eps=1e-9, dc="mass"):
+    """Series backprojection with the series summed on every radius of the polar grid.
+
+    The reference for the evaluation grid of the series route, built from
+    the package's own stages: the complex weights b of the sheared field
+    Z, one dense product J^T b on the 2n+1 radii k*pi/4 up to pi*n/2, the
+    4*pi/sigma weight with the DC bin zeroed, the polar inverse transform
+    and the DC restoration.  ``z`` is an equiangular fan sinogram,
+    ``source`` the sinogram whose mass sets the DC.
+    """
+    geom = z.geometry
+    sigma_max = math.pi * n / 2.0
+    sigma = np.linspace(0.0, sigma_max, 2 * n + 1)
+    n_terms = choose_truncation(geom, sigma_max, eps)
+    Z = shear_to_theta(z, 2 * z.n_beta)
+    b = fourier_coefficients_gamma(Z, z.gamma_grid, n_terms, keep_c=False).b
+    values = bessel_table(geom, n_terms, sigma).values
+    series = (values.T @ b.real).T + 1j * (values.T @ b.imag).T
+    spec = np.zeros_like(series)
+    spec[:, 1:] = 4.0 * math.pi / sigma[1:][None, :] * series[:, 1:]
+    return restore_dc(spectrum_to_image(PolarSpectrum(spec, sigma_max), n), source, dc)

@@ -11,6 +11,8 @@ from fanbeam import (
     StandardFanSinogram,
     adjoint_rebin_linear,
     adjoint_rebin_standard,
+    analytic_radon,
+    apply_tau,
     backproject_linear_fan,
     backproject_standard_fan,
     bessel_table,
@@ -19,13 +21,18 @@ from fanbeam import (
     evaluate_series,
     fourier_coefficients_gamma,
     linear_fan_backproject,
+    linear_to_standard,
+    rebin_to_linear,
+    rebin_to_standard,
     shear_to_theta,
+    shepp_logan_ellipses,
     standard_fan_backproject,
 )
+from fanbeam import series
 from fanbeam.series import _bessel_matrix
 
 from conftest import rel_l2
-from oracles import bessel_power_series, kernel_quadrature
+from oracles import bessel_matrix_rescale_loop, bessel_power_series, kernel_quadrature, series_image_dense
 
 
 def circle_grid(m):
@@ -92,6 +99,19 @@ class TestBesselTable:
         assert tab.values.shape == (64, 16)
         assert tab.values[0, 0] == 1.0 and not tab.values[1:, 0].any()
 
+    @pytest.mark.parametrize(
+        "x, n_terms",
+        [
+            (10.0 * math.pi * np.arange(33), 1100),  # the series' own radii at n = 64
+            (np.concatenate([[0.0], np.geomspace(1e-2, 800.0, 40)]), 300),
+            (np.linspace(0.0, 4000.0, 9), 5500),
+        ],
+    )
+    def test_build_equals_rescale_loop(self, x, n_terms):
+        # settling every rescale at the end with one ldexp is exact
+        vals = _bessel_matrix(x, n_terms)
+        np.testing.assert_array_equal(vals, bessel_matrix_rescale_loop(x, n_terms))
+
 
 class TestCoefficients:
     def test_constant_field(self):
@@ -156,6 +176,26 @@ class TestCoefficients:
         a = fourier_coefficients_gamma(vals, support, 64, padding_factor=1)
         b = fourier_coefficients_gamma(circle, circle_grid(m), 64)
         np.testing.assert_allclose(a.b, b.b, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_parity_split_matches_dense_product(self, geom, kind):
+        # a real field has real b_n for even n and imaginary b_n for odd n,
+        # so its parity blocks are real; a complex field keeps complex blocks
+        rng = np.random.default_rng(37)
+        m = 512
+        Z = rng.standard_normal((7, m))
+        if kind == "complex":
+            Z = Z + 1j * rng.standard_normal((7, m))
+        n_terms = 101
+        co = fourier_coefficients_gamma(Z, circle_grid(m), n_terms, keep_c=False)
+        assert co.even.dtype == co.odd.dtype == Z.dtype
+        b = co.b
+        if kind == "real":
+            assert not b[0::2].imag.any() and not b[1::2].real.any()
+        tab = bessel_table(geom, n_terms, np.linspace(0.0, 20.0, 41))
+        dense = (tab.values.T @ b).T
+        split = evaluate_series(co, tab)
+        assert np.abs(split - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_too_many_terms_rejected(self):
         with pytest.raises(ValueError, match="exceeds half the padded grid"):
@@ -239,3 +279,45 @@ class TestSeriesBackprojection:
         bound = eps * np.abs(full).max() * 2 * math.pi
         assert np.abs(series - direct).max() < bound
 
+
+
+def _phantom_sinograms(geom, n):
+    p = analytic_radon(shepp_logan_ellipses(), n, n)
+    return rebin_to_standard(p, geom, n, n), rebin_to_linear(p, geom, n, n)
+
+
+class TestSeriesEvaluationGrid:
+    """The series evaluated at sigma = k*pi only, then the detector-FFT back end."""
+
+    # the change against the dense grid falls with n: about 4e-5 at n = 64, 6e-6 at n = 128
+    @pytest.mark.parametrize("n, bound", [(63, 1e-4), (64, 1e-4), (127, 2e-5), (128, 2e-5)])
+    def test_matches_dense_grid_reference(self, geom, n, bound):
+        w, g = _phantom_sinograms(geom, n)
+        ref = series_image_dense(w, w, n)
+        img = standard_fan_backproject(w, n).data
+        assert np.linalg.norm(img - ref) <= bound * np.linalg.norm(ref)
+        ref = series_image_dense(apply_tau(linear_to_standard(g, g.n_s)), g, n)
+        img = linear_fan_backproject(g, n).data
+        assert np.linalg.norm(img - ref) <= bound * np.linalg.norm(ref)
+
+    def test_warm_call_hits_the_table_cache(self, geom, monkeypatch):
+        n = 40
+        w, _ = _phantom_sinograms(geom, n)
+        tables = []
+        evaluate = series.evaluate_series
+
+        def spy(coeffs, table):
+            tables.append(table)
+            return evaluate(coeffs, table)
+
+        monkeypatch.setattr(series, "evaluate_series", spy)
+        standard_fan_backproject(w, n)
+        before = series._cached_table.cache_info()
+        standard_fan_backproject(w, n)
+        after = series._cached_table.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert tables[0] is tables[1]
+        table = tables[1]
+        assert table.even.shape[1] == table.odd.shape[1] == n // 2 + 1
+        np.testing.assert_array_equal(table.sigmas, math.pi * np.arange(n // 2 + 1))
+        assert table.even.flags.c_contiguous and table.odd.flags.c_contiguous
