@@ -28,8 +28,19 @@ inverse FFT.  The route never forms the rebinned parallel sinogram.
 For a real Z, b_n is real for even n and purely imaginary for odd n.  The
 weights and the table of Bessel values J_n(D sigma_k) are therefore kept
 by parity of n, and the truncated series is one real matrix product per
-parity.  The table comes from a downward (Miller) recurrence, is built
-once per setup and cached.
+parity.  The table comes from a downward (Miller) recurrence.
+
+The weights b_n are linear in Z, and Z enters only through its samples
+on the detector grid gamma_j, so the series reassociates: S = Z K with
+
+    K[j, k] = sum_n J_n(D sigma_k) b_n[hat_j],
+
+where b_n[hat_j] are the weights of the j-th detector hat (the linear
+interpolant of the j-th unit vector).  The route builds K once per
+(geometry, n_terms, n//2+1, n_gamma), from the table and the weights of
+the identity, and caches it; a warm op is one real GEMM of Z against
+K's interleaved real and imaginary parts, with no Fourier coefficients
+and no Bessel table.
 """
 
 from __future__ import annotations
@@ -212,12 +223,6 @@ def bessel_table(geom: FanGeometry, n_terms: int, sigma_grid) -> BesselTable:
     return BesselTable(sigmas, np.ascontiguousarray(values[0::2]), np.ascontiguousarray(values[1::2]))
 
 
-@lru_cache(maxsize=8)
-def _cached_table(geom: FanGeometry, n_terms: int, n_sigma: int) -> BesselTable:
-    """The table on the radii sigma_k = k*pi, k = 0..n_sigma-1."""
-    return bessel_table(geom, n_terms, math.pi * np.arange(n_sigma))
-
-
 def _circle_embedding(Z: np.ndarray, gamma: np.ndarray, padding_factor: int, n_terms: int):
     """Return (resampled support block, left width, circle size M)."""
     gamma = np.asarray(gamma, dtype=np.float64)
@@ -318,14 +323,31 @@ def evaluate_series(coeffs: SeriesCoefficients, table: BesselTable) -> np.ndarra
     return (even + 1j * odd).T
 
 
+@lru_cache(maxsize=8)
+def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) -> np.ndarray:
+    """K[j, k], the truncated series of the j-th detector hat at sigma_k = k*pi.
+
+    Shape (n_gamma, n_sigma), complex, C-contiguous and read-only, for the
+    detector grid linspace(-gamma_max, gamma_max, n_gamma); one entry
+    holds 16 * n_gamma * n_sigma bytes.
+    """
+    # the weights first: their padded FFT buffers are freed before the table is built
+    gamma = np.linspace(-geom.gamma_max, geom.gamma_max, n_gamma)
+    basis = fourier_coefficients_gamma(np.eye(n_gamma), gamma, n_terms, keep_c=False)
+    table = bessel_table(geom, n_terms, math.pi * np.arange(n_sigma))
+    kernel = np.ascontiguousarray(evaluate_series(basis, table))
+    kernel.flags.writeable = False
+    return kernel
+
+
 def _series_image(z: StandardFanSinogram, source_sino, n: int, eps: float, dc) -> ImageGrid:
     geom = z.geometry
     sigma_max = math.pi * n / 2.0
     n_terms = choose_truncation(geom, sigma_max, eps)
-    table = _cached_table(geom, n_terms, n // 2 + 1)
     Z = shear_to_theta(z, 2 * z.n_beta)
-    coeffs = fourier_coefficients_gamma(Z, z.gamma_grid, n_terms, keep_c=False)
-    S = evaluate_series(coeffs, table)
+    K = _series_kernel(geom, n_terms, n // 2 + 1, z.n_gamma)
+    # S = Z K as one real GEMM against the interleaved real and imaginary parts of K
+    S = (Z @ K.view(np.float64)).view(np.complex128)
     # q on t_j = -1 + 2j/n from its period-2 Fourier coefficients a_k = S_k / 2
     S[:, 1::2] *= -1.0
     q = sfft.irfft(S, n, axis=1, norm="forward", workers=get_workers())

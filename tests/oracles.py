@@ -2,18 +2,28 @@
 
 Everything here is deliberately written from the defining formulas with
 no code shared with the package internals beyond basic containers; the
-one exception, ``series_image_dense``, is a reference for the series
-route's evaluation grid and runs the package's own stages.
+two exceptions, ``series_image_dense`` and ``series_image_two_step``, are
+references for the series route's evaluation grid and for its cached
+kernel, and run the package's own stages.
 """
 
 import math
 
 import numpy as np
+from scipy import fft as sfft
 
-from fanbeam import PolarSpectrum, bessel_table, choose_truncation, fourier_coefficients_gamma, shear_to_theta
+from fanbeam import (
+    ImageGrid,
+    PolarSpectrum,
+    bessel_table,
+    choose_truncation,
+    evaluate_series,
+    fourier_coefficients_gamma,
+    shear_to_theta,
+)
 from fanbeam._dc import restore_dc
 from fanbeam._interp import bilinear
-from fanbeam.bst import spectrum_to_image
+from fanbeam.bst import _detector_spectrum, spectrum_to_image
 
 
 def project_parallel_grid(img, n_t, n_theta):
@@ -201,3 +211,25 @@ def series_image_dense(z, source, n, eps=1e-9, dc="mass"):
     spec = np.zeros_like(series)
     spec[:, 1:] = 4.0 * math.pi / sigma[1:][None, :] * series[:, 1:]
     return restore_dc(spectrum_to_image(PolarSpectrum(spec, sigma_max), n), source, dc)
+
+
+def series_image_two_step(z, source, n, eps=1e-9, dc="mass"):
+    """Series backprojection with the weights b computed from the data on every call.
+
+    The reference for the series route's cached kernel: the weights of
+    the sheared field Z, the truncated series summed against a Bessel
+    table on sigma_k = k*pi, then the route's own back end (the period-2
+    synthesis of q, the detector FFT to 4n samples, the polar inverse
+    transform and the DC restoration).  ``z`` is an equiangular fan
+    sinogram, ``source`` the sinogram whose mass sets the DC.
+    """
+    geom = z.geometry
+    sigma_max = math.pi * n / 2.0
+    n_terms = choose_truncation(geom, sigma_max, eps)
+    table = bessel_table(geom, n_terms, math.pi * np.arange(n // 2 + 1))
+    Z = shear_to_theta(z, 2 * z.n_beta)
+    S = evaluate_series(fourier_coefficients_gamma(Z, z.gamma_grid, n_terms, keep_c=False), table)
+    S[:, 1::2] *= -1.0
+    q = 0.5 * sfft.irfft(S, n, axis=1, norm="forward")
+    spec = _detector_spectrum(q, -1.0, 2.0 / n, 4 * n, sigma_max)
+    return ImageGrid(restore_dc(spectrum_to_image(spec, n), source, dc))

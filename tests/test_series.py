@@ -22,6 +22,7 @@ from fanbeam import (
     fourier_coefficients_gamma,
     linear_fan_backproject,
     linear_to_standard,
+    make_fan_geometry,
     rebin_to_linear,
     rebin_to_standard,
     shear_to_theta,
@@ -32,7 +33,13 @@ from fanbeam import series
 from fanbeam.series import _bessel_matrix
 
 from conftest import rel_l2
-from oracles import bessel_matrix_rescale_loop, bessel_power_series, kernel_quadrature, series_image_dense
+from oracles import (
+    bessel_matrix_rescale_loop,
+    bessel_power_series,
+    kernel_quadrature,
+    series_image_dense,
+    series_image_two_step,
+)
 
 
 def circle_grid(m):
@@ -62,8 +69,6 @@ class TestChooseTruncation:
     @given(st.floats(min_value=1e-12, max_value=1e-3), st.floats(min_value=0.0, max_value=30.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_eps(self, eps, sigma_max):
-        from fanbeam import make_fan_geometry
-
         geom = make_fan_geometry(10.0)
         assert choose_truncation(geom, sigma_max, eps) >= choose_truncation(geom, sigma_max, 10 * eps)
 
@@ -287,7 +292,7 @@ def _phantom_sinograms(geom, n):
 
 
 class TestSeriesEvaluationGrid:
-    """The series evaluated at sigma = k*pi only, then the detector-FFT back end."""
+    """The series evaluated at sigma = k*pi only, through the cached kernel, then the detector-FFT back end."""
 
     # the change against the dense grid falls with n: about 4e-5 at n = 64, 6e-6 at n = 128
     @pytest.mark.parametrize("n, bound", [(63, 1e-4), (64, 1e-4), (127, 2e-5), (128, 2e-5)])
@@ -300,24 +305,58 @@ class TestSeriesEvaluationGrid:
         img = linear_fan_backproject(g, n).data
         assert np.linalg.norm(img - ref) <= bound * np.linalg.norm(ref)
 
-    def test_warm_call_hits_the_table_cache(self, geom, monkeypatch):
+    @pytest.mark.parametrize("n", [32, 63, 64, 127, 128])
+    def test_matches_two_step_reference(self, geom, n):
+        # the cached kernel reassociates the series, so only rounding may differ
+        w, g = _phantom_sinograms(geom, n)
+        ref = series_image_two_step(w, w, n).data
+        img = standard_fan_backproject(w, n).data
+        assert np.linalg.norm(img - ref) <= 1e-13 * np.linalg.norm(ref)
+        ref = series_image_two_step(apply_tau(linear_to_standard(g, g.n_s)), g, n).data
+        img = linear_fan_backproject(g, n).data
+        assert np.linalg.norm(img - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_warm_call_hits_the_kernel_cache(self, geom, monkeypatch):
         n = 40
         w, _ = _phantom_sinograms(geom, n)
-        tables = []
-        evaluate = series.evaluate_series
+        calls = []
+        for name in ("bessel_table", "fourier_coefficients_gamma", "evaluate_series"):
 
-        def spy(coeffs, table):
-            tables.append(table)
-            return evaluate(coeffs, table)
+            def spy(*args, _fn=getattr(series, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(series, "evaluate_series", spy)
-        standard_fan_backproject(w, n)
-        before = series._cached_table.cache_info()
-        standard_fan_backproject(w, n)
-        after = series._cached_table.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        assert tables[0] is tables[1]
-        table = tables[1]
-        assert table.even.shape[1] == table.odd.shape[1] == n // 2 + 1
-        np.testing.assert_array_equal(table.sigmas, math.pi * np.arange(n // 2 + 1))
-        assert table.even.flags.c_contiguous and table.odd.flags.c_contiguous
+            monkeypatch.setattr(series, name, spy)
+        series._series_kernel.cache_clear()
+        cold = standard_fan_backproject(w, n).data
+        assert sorted(calls) == ["bessel_table", "evaluate_series", "fourier_coefficients_gamma"]
+        calls.clear()
+        warm = standard_fan_backproject(w, n).data
+        info = series._series_kernel.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert calls == []
+        np.testing.assert_array_equal(warm, cold)
+        ref = series_image_two_step(w, w, n).data
+        assert np.linalg.norm(warm - ref) <= 1e-13 * np.linalg.norm(ref)
+        kernel = series._series_kernel(geom, choose_truncation(geom, math.pi * n / 2, 1e-9), n // 2 + 1, w.n_gamma)
+        assert kernel.shape == (w.n_gamma, n // 2 + 1)
+        assert kernel.dtype == np.complex128 and kernel.flags.c_contiguous
+        assert not kernel.flags.writeable
+
+    @pytest.mark.parametrize("second", ["detector_count", "distance"])
+    def test_kernel_key_follows_the_detector_grid(self, geom, second):
+        # a kernel built for one gamma grid must never serve another
+        n = 32
+        p = analytic_radon(shepp_logan_ellipses(), n, n)
+        other = (
+            rebin_to_standard(p, geom, 45, n)
+            if second == "detector_count"
+            else rebin_to_standard(p, make_fan_geometry(4.0), n, n)
+        )
+        series._series_kernel.cache_clear()
+        for w in (rebin_to_standard(p, geom, n, n), other):
+            img = standard_fan_backproject(w, n).data
+            ref = series_image_two_step(w, w, n).data
+            assert np.linalg.norm(img - ref) <= 1e-13 * np.linalg.norm(ref)
+        info = series._series_kernel.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
