@@ -129,8 +129,8 @@ class FanGeometry:
     beta_span: float = field(default=0.0)
 
     def __post_init__(self):
-        if not (self.d > 1.0):
-            raise GeometryError(f"source distance d={self.d} must exceed the unit-disk radius")
+        if not (math.isfinite(self.d) and self.d > 1.0):
+            raise GeometryError(f"source distance d={self.d} must be finite and exceed the unit-disk radius")
         gamma_max = math.asin(1.0 / self.d)
         s_max = self.d / math.sqrt(self.d * self.d - 1.0)
         object.__setattr__(self, "gamma_max", gamma_max)

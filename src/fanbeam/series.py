@@ -36,11 +36,26 @@ on the detector grid gamma_j, so the series reassociates: S = Z K with
     K[j, k] = sum_n J_n(D sigma_k) b_n[hat_j],
 
 where b_n[hat_j] are the weights of the j-th detector hat (the linear
-interpolant of the j-th unit vector).  The route builds K once per
-(geometry, n_terms, n//2+1, n_gamma), from the table and the weights of
-the identity, and caches it; a warm op is one real GEMM of Z against
-K's interleaved real and imaginary parts, with no Fourier coefficients
-and no Bessel table.
+interpolant of the j-th unit vector, zero outside the detector).  A hat's
+coefficients have a closed form: with step h, an interior hat has
+2*pi*c_n = h sinc^2(nh/2) e^{-i n gamma_j}, and the two end half-hats
+have h e^{-i n gamma_end} E(+-nh) with E(a) = int_0^1 (1 - s) e^{-ias} ds.
+Summed over Z's samples, the same closed form gives the exact
+coefficients of Z's linear interpolant on a support grid.
+
+The route builds K once per (geometry, n_terms, n//2+1, n_gamma) and
+caches it; a warm op is one real GEMM of Z against K's interleaved real
+and imaginary parts, with no Fourier coefficients and no Bessel table.
+The build calls no FFT.  It runs over blocks of 256 orders, folding the
+closed-form weights by parity and multiplying them into K against the
+table, with two savings:
+
+* band: column k skips an order block once the envelope
+  (x_k/2)^n / n!, x_k = D sigma_k, lies below its value at
+  (x_max, n_terms) for every order of the block, which the truncation
+  rule already holds below eps;
+* mirror: the grid is symmetric, so Re K is even and Im K odd in j; the
+  first ceil(n_gamma/2) rows are built and K[n_gamma-1-j] = conj K[j].
 """
 
 from __future__ import annotations
@@ -54,7 +69,6 @@ from scipy import fft as sfft
 from scipy.special import gammaln
 
 from ._dc import restore_dc
-from ._interp import interp_or_zero
 from ._threads import get_workers
 from .bst import _detector_spectrum, spectrum_to_image
 from .core import FanGeometry, ImageGrid, LinearFanSinogram, StandardFanSinogram
@@ -72,7 +86,7 @@ __all__ = [
 ]
 
 _RESCALE_EXP = 832  # columns near overflow are scaled by 2**-832, about 1e-250
-_THETA_CHUNK = 128
+_ORDER_BLOCK = 256  # orders per block of the hat weights and of the kernel build
 
 
 @dataclass(frozen=True)
@@ -141,8 +155,8 @@ def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
     below ``eps`` for every n >= N with x = D*sigma_max, but never fewer
     terms than the gamma-direction Nyquist count of the series kernel.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps={eps} must be positive and finite")
     x = geom.d * float(sigma_max)
     nyquist = math.ceil(2.0 * geom.gamma_max * x / math.pi)
     if x == 0.0:
@@ -223,83 +237,137 @@ def bessel_table(geom: FanGeometry, n_terms: int, sigma_grid) -> BesselTable:
     return BesselTable(sigmas, np.ascontiguousarray(values[0::2]), np.ascontiguousarray(values[1::2]))
 
 
-def _circle_embedding(Z: np.ndarray, gamma: np.ndarray, padding_factor: int, n_terms: int):
-    """Return (resampled support block, left width, circle size M)."""
-    gamma = np.asarray(gamma, dtype=np.float64)
+_SINE_DEFECT_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
+
+
+def _sine_defect(a: np.ndarray) -> np.ndarray:
+    """(a - sin a) / a**2; its Taylor series where |a| < 1, where the difference would cancel."""
+    out = np.empty_like(a)
+    small = np.abs(a) < 1.0
+    s = a[small]
+    s2 = s * s
+    poly = np.zeros_like(s)
+    for coef in reversed(_SINE_DEFECT_TAYLOR):  # the first omitted term is below 1e-17 of the sum
+        poly = poly * s2 + coef
+    out[small] = s * poly
+    big = a[~small]
+    out[~small] = (big - np.sin(big)) / (big * big)
+    return out
+
+
+def _hat_weights(lo: int, hi: int, gamma: np.ndarray, h: float, n_gamma: int) -> np.ndarray:
+    """Exact 2*pi*c_n of detector hats for the orders n = lo..hi-1.
+
+    The hats are the linear interpolants of the unit vectors on a uniform
+    grid of ``n_gamma`` samples with step ``h``, zero outside the grid;
+    ``gamma`` holds the first ``gamma.size`` of its samples.  An interior
+    hat has 2*pi*c_n = h sinc^2(nh/2) e^{-i n gamma_j}.  The end half-hats
+    have h e^{-i n gamma_end} E(+-nh), E(a) = int_0^1 (1 - s) e^{-ias} ds
+    = sinc^2(a/2)/2 - i (a - sin a)/a^2, with + at the first sample and -
+    at the last.  Returns shape (gamma.size, hi - lo), complex.
+    """
+    a = h * np.arange(lo, hi, dtype=np.float64)
+    half = np.where(a == 0.0, 1.0, 0.5 * a)
+    sinc2 = np.where(a == 0.0, 1.0, np.sin(half) / half) ** 2
+    # e^{-i n gamma} = e^{-i (lo + 16q) gamma} e^{-i r gamma} for n = lo + 16q + r:
+    # an eighth of the exponentials of a direct evaluation
+    coarse = np.exp(-1j * np.multiply.outer(gamma, np.arange(lo, hi, 16.0)))
+    fine = np.exp(-1j * np.multiply.outer(gamma, np.arange(16.0)))
+    phase = (coarse[:, :, None] * fine[:, None, :]).reshape(gamma.size, -1)[:, : hi - lo]
+    weights = phase * (h * sinc2)
+    edge = h * (0.5 * sinc2 - 1j * _sine_defect(a))
+    weights[0] = phase[0] * edge
+    if gamma.size == n_gamma:
+        weights[-1] = phase[-1] * np.conj(edge)
+    return weights
+
+
+def _real_fold(w: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parity blocks of the weights b_n of a real field, from w = 2*pi*c_n.
+
+    Orders n = lo, lo+1, ... (lo even) run along the last axis.  As
+    c_{-n} = conj c_n, b_0 = w_0, b_n = 2 Re w_n for even n >= 2 and
+    b_n / i = 2 Im w_n for odd n.
+    """
+    even = 2.0 * w[..., 0::2].real
+    if lo == 0:
+        even[..., 0] *= 0.5
+    return even, 2.0 * w[..., 1::2].imag
+
+
+def _coefficient_blocks(Z: np.ndarray, gamma: np.ndarray, n_terms: int):
+    """Yield (lo, P, N) over blocks of orders n = lo, lo+1, ..., with lo even.
+
+    P[:, i] holds 2*pi*c_n(theta) and N[:, i] holds 2*pi*c_{-n}(theta)
+    for n = lo + i; N is None for a real Z.
+    """
+    m = gamma.size
+    is_complex = np.iscomplexobj(Z)
     step = gamma[1] - gamma[0]
-    span = gamma.size * step
-    if abs(span - 2.0 * math.pi) < 1e-9 * 2.0 * math.pi and abs(gamma[0]) < 1e-12:
-        # already a full-circle grid in FFT order; no resampling
-        return Z, 0, gamma.size
-    m_min = max(int(round(padding_factor * 2.0 * math.pi / step)), 2 * n_terms + 2)
-    m = sfft.next_fast_len(m_min, real=not np.iscomplexobj(Z))
-    step_f = 2.0 * math.pi / m
-    k = math.floor((gamma[-1] + 1e-12 * step) / step_f)
-    gamma_f = step_f * np.arange(-k, k + 1)
-    block = interp_or_zero(gamma_f, gamma[0], step, Z)
-    return block, k, m
+    if abs(m * step - 2.0 * math.pi) < 1e-9 * 2.0 * math.pi and abs(gamma[0]) < 1e-12:
+        # a full-circle grid in FFT order: the DFT gives the coefficients
+        if 2 * n_terms > m:
+            raise ValueError(f"n_terms={n_terms} exceeds half the padded grid ({m})")
+        scale = 2.0 * math.pi / m
+        if is_complex:
+            spec = sfft.fft(Z, axis=1, workers=get_workers())
+            neg = np.concatenate([spec[:, :1], spec[:, : m - n_terms : -1]], axis=1) * scale
+        else:
+            spec = sfft.rfft(Z, axis=1, workers=get_workers())
+            neg = None
+        yield 0, spec[:, :n_terms] * scale, neg
+        return
+    # a support grid: the exact coefficients of Z's linear interpolant, zero outside it
+    h = (gamma[-1] - gamma[0]) / (m - 1)
+    for lo in range(0, n_terms, _ORDER_BLOCK):
+        weights = _hat_weights(lo, min(lo + _ORDER_BLOCK, n_terms), gamma, h, m)
+        if is_complex:
+            yield lo, Z @ weights, np.conj(np.conj(Z) @ weights)
+        else:
+            yield lo, _product(Z.T, weights), None
 
 
 def fourier_coefficients_gamma(
     Z: np.ndarray,
     gamma: np.ndarray,
     n_terms: int,
-    padding_factor: int = 4,
     keep_c: bool = True,
 ) -> SeriesCoefficients:
     """Continuous Fourier-series coefficients of Z along gamma.
 
-    ``Z`` has shape (n_theta, n_gamma).  A symmetric support grid on
-    [-gamma_max, gamma_max] is embedded into a zero-padded 2*pi-periodic
-    grid (``padding_factor`` times the minimal full-circle grid at the
-    input resolution, and at least 2*n_terms+2 samples); a grid already
-    spanning the circle in FFT order (gamma_k = 2*pi*k/M) is used as is.
+    ``Z`` has shape (n_theta, n_gamma).  On a uniform support grid
+    ``gamma`` (any grid but the one below) they are the exact
+    coefficients of Z's linear interpolant, zero outside the grid, in
+    closed form per detector hat.  A grid spanning the circle in FFT
+    order (gamma_k = 2*pi*k/M) takes the DFT of Z, which needs
+    2*n_terms <= M.
     """
     Z = np.asarray(Z)
     if Z.ndim != 2:
         raise ValueError("Z must be 2-D (n_theta, n_gamma)")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    block, k, m = _circle_embedding(Z, np.asarray(gamma, dtype=np.float64), padding_factor, n_terms)
-    if 2 * n_terms > m:
-        raise ValueError(f"n_terms={n_terms} exceeds half the padded grid ({m})")
     n_theta = Z.shape[0]
-    is_complex = np.iscomplexobj(block)
-    dtype = np.complex128 if is_complex else np.float64
+    dtype = np.complex128 if np.iscomplexobj(Z) else np.float64
     even = np.empty(((n_terms + 1) // 2, n_theta), dtype=dtype)
     odd = np.empty((n_terms // 2, n_theta), dtype=dtype)
     c = np.empty((2 * n_terms - 1, n_theta), dtype=np.complex128) if keep_c else None
-    signs = np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0)[:, None]
-    # every chunk writes the same support columns, so the rest stays zero
-    buffer = np.zeros((min(_THETA_CHUNK, n_theta), m), dtype=dtype)
-    for lo in range(0, n_theta, _THETA_CHUNK):
-        hi = min(lo + _THETA_CHUNK, n_theta)
-        pad = buffer[: hi - lo]
-        if k == 0 and block.shape[1] == m:
-            pad[:] = block[lo:hi]
+    for lo, pos, neg in _coefficient_blocks(Z, np.asarray(gamma, dtype=np.float64), n_terms):
+        hi = lo + pos.shape[1]
+        if neg is None:
+            block_even, block_odd = _real_fold(pos, lo)
+            neg = np.conj(pos) if keep_c else None
         else:
-            pad[:, : k + 1] = block[lo:hi, k:]
-            pad[:, m - k :] = block[lo:hi, :k]
-        if is_complex:
-            spec = sfft.fft(pad, axis=1, workers=get_workers()) / m
-            c_pos = spec[:, :n_terms].T
-            c_neg = np.concatenate([spec[:, :1], spec[:, m - n_terms + 1 :][:, ::-1]], axis=1).T
-            b = np.empty((n_terms, hi - lo), dtype=np.complex128)
-            b[0] = 2.0 * math.pi * c_pos[0]
-            b[1:] = 2.0 * math.pi * (c_pos[1:] + signs[1:] * c_neg[1:])
-            even[:, lo:hi] = b[0::2]
-            odd[:, lo:hi] = -1j * b[1::2]
-        else:
-            # c_{-n} = conj c_n, so b_n = 4*pi Re c_n for even n >= 2 and
-            # 4*pi i Im c_n for odd n
-            c_pos = (sfft.rfft(pad, axis=1, workers=get_workers())[:, :n_terms] / m).T
-            c_neg = np.conj(c_pos) if keep_c else None
-            even[0, lo:hi] = 2.0 * math.pi * c_pos[0].real
-            even[1:, lo:hi] = 4.0 * math.pi * c_pos[2::2].real
-            odd[:, lo:hi] = 4.0 * math.pi * c_pos[1::2].imag
+            # b_0 = 2*pi c_0 and b_n = 2*pi (c_n + (-1)^n c_{-n})
+            b = pos + np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0) * neg
+            if lo == 0:
+                b[:, 0] = pos[:, 0]
+            block_even, block_odd = b[:, 0::2], -1j * b[:, 1::2]
+        even[lo // 2 : (hi + 1) // 2] = block_even.T
+        odd[lo // 2 : hi // 2] = block_odd.T
         if keep_c:
-            c[n_terms - 1 :, lo:hi] = c_pos
-            c[: n_terms - 1, lo:hi] = c_neg[1:][::-1]
+            c[n_terms - hi : n_terms - lo] = neg[:, ::-1].T / (2.0 * math.pi)
+            c[n_terms - 1 + lo : n_terms - 1 + hi] = pos.T / (2.0 * math.pi)
     return SeriesCoefficients(n_terms=n_terms, even=even, odd=odd, c=c)
 
 
@@ -323,6 +391,16 @@ def evaluate_series(coeffs: SeriesCoefficients, table: BesselTable) -> np.ndarra
     return (even + 1j * odd).T
 
 
+def _flushed(block: np.ndarray) -> np.ndarray:
+    """``block`` with its subnormal entries set to zero, in place.
+
+    Past the turning point the table decays through the subnormal range,
+    and a matrix product slows many times over on subnormal operands.
+    """
+    block[np.abs(block) < np.finfo(np.float64).tiny] = 0.0
+    return block
+
+
 @lru_cache(maxsize=8)
 def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) -> np.ndarray:
     """K[j, k], the truncated series of the j-th detector hat at sigma_k = k*pi.
@@ -331,11 +409,34 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
     detector grid linspace(-gamma_max, gamma_max, n_gamma); one entry
     holds 16 * n_gamma * n_sigma bytes.
     """
-    # the weights first: their padded FFT buffers are freed before the table is built
-    gamma = np.linspace(-geom.gamma_max, geom.gamma_max, n_gamma)
-    basis = fourier_coefficients_gamma(np.eye(n_gamma), gamma, n_terms, keep_c=False)
     table = bessel_table(geom, n_terms, math.pi * np.arange(n_sigma))
-    kernel = np.ascontiguousarray(evaluate_series(basis, table))
+    half_x = 0.5 * geom.d * table.sigmas
+    h = 2.0 * geom.gamma_max / (n_gamma - 1)
+    # the grid is symmetric, so Re K is even in j and Im K odd: build the
+    # first half of the rows and mirror the rest
+    rows = (n_gamma + 1) // 2
+    gamma = h * (np.arange(rows) - 0.5 * (n_gamma - 1))
+    re = np.zeros((rows, n_sigma))
+    im = np.zeros((rows, n_sigma))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_half_x = np.log(half_x)
+        # the envelope (x/2)^n / n! at (x_max, n_terms), which choose_truncation holds below eps
+        log_floor = n_terms * log_half_x[-1] - gammaln(n_terms + 1.0)
+    for lo in range(0, n_terms, _ORDER_BLOCK):
+        hi = min(lo + _ORDER_BLOCK, n_terms)
+        # band: column k skips the block when its envelope, decreasing in n
+        # past x_k/2, is below the floor at n = lo; the envelope grows with
+        # x, so the skipped columns are a prefix
+        with np.errstate(invalid="ignore"):
+            below = (lo >= half_x) & (lo * log_half_x - gammaln(lo + 1.0) < log_floor)
+        k0 = int(np.count_nonzero(below))
+        even, odd = _real_fold(_hat_weights(lo, hi, gamma, h, n_gamma), lo)
+        re[:, k0:] += even @ _flushed(table.even[lo // 2 : (hi + 1) // 2, k0:])
+        im[:, k0:] += odd @ _flushed(table.odd[lo // 2 : hi // 2, k0:])
+    kernel = np.empty((n_gamma, n_sigma), dtype=np.complex128)
+    kernel[:rows].real = re
+    kernel[:rows].imag = im
+    kernel[rows:] = np.conj(kernel[: n_gamma // 2][::-1])
     kernel.flags.writeable = False
     return kernel
 

@@ -148,6 +148,26 @@ def kernel_quadrature(Z, gamma, sigmas, d):
     return (Z @ kernel.T) * dgamma
 
 
+def interpolant_coefficients_quadrature(Z, gamma, orders, nodes_per_segment=20):
+    """2*pi*c_n of Z's linear interpolant on the grid gamma, by Gauss-Legendre quadrature.
+
+    The interpolant joins the samples Z[:, j] linearly between gamma_j and
+    gamma_{j+1} and is zero outside [gamma_0, gamma_last].  Each segment
+    gets a Gauss-Legendre rule of ``nodes_per_segment`` nodes applied to
+    interp(Z)(gamma) e^{-i n gamma}.  Returns shape (n_theta, orders.size).
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes_per_segment)
+    s = 0.5 * (x + 1.0)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    seg = np.diff(gamma)
+    points = (gamma[:-1, None] + seg[:, None] * s[None, :]).ravel()
+    weights = (seg[:, None] * (0.5 * w)[None, :]).ravel()
+    Z = np.asarray(Z)
+    values = Z[:, :-1, None] * (1.0 - s) + Z[:, 1:, None] * s
+    values = values.reshape(Z.shape[0], -1) * weights
+    return values @ np.exp(-1j * np.multiply.outer(points, np.asarray(orders, dtype=np.float64)))
+
+
 def bessel_matrix_rescale_loop(x, n_terms):
     """J_n(x), n < n_terms, by normalized downward recurrence, rescaling stored rows as it goes.
 

@@ -1,15 +1,29 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fanbeam
 from fanbeam.cli import main
 from fanbeam.gridfile import read_grid, write_grid
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv, timeout=120):
+    """Exit code of the CLI run in its own interpreter; a hang fails the test at ``timeout``."""
+    env = dict(os.environ)
+    src = str(Path(fanbeam.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, "-m", "fanbeam.cli", *(str(a) for a in argv)]
+    return subprocess.run(cmd, env=env, capture_output=True, timeout=timeout).returncode
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +87,10 @@ class TestProjectCommand:
     def test_missing_input_exits_2(self, tmp_path):
         assert run("project", "--in", tmp_path / "none.grd", "--geometry", "linear", "--out", tmp_path / "g.grd") == 2
 
+    def test_infinite_distance_exits_2(self, parallel_file, tmp_path, capsys):
+        assert run("project", "--in", parallel_file, "--geometry", "standard", "--d", "inf", "--out", tmp_path / "w.grd") == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_non_finite_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.grd"
         write_grid(path, np.full((16, 16), np.nan), (0.0, math.pi), (-1.0, 1.0))
@@ -131,6 +149,11 @@ class TestBackprojectCommand:
         assert run("backproject", "--in", tmp_path / "none.grd", "--geometry", "linear", "--n", 32,
                    "--out", tmp_path / "x.grd") == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exits_2(self, linear_file, tmp_path, eps):
+        assert run_process("backproject", "--in", linear_file, "--geometry", "linear", "--method", "bessel",
+                           "--n", 32, "--eps", eps, "--out", tmp_path / "x.grd") == 2
+
     def test_oversized_header_exits_2(self, linear_file, tmp_path, capsys):
         raw = bytearray(linear_file.read_bytes())
         raw[9:17] = (4_000_000_000).to_bytes(4, "little") * 2
@@ -183,3 +206,12 @@ class TestBenchCommand:
 
     def test_unknown_method_exits_2(self, tmp_path):
         assert run("bench", "--sizes", "32", "--methods", "warp", "--out-csv", tmp_path / "b.csv") == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exits_2(self, tmp_path, eps):
+        assert run_process("bench", "--sizes", "32", "--methods", "bessel", "--repetitions", 1, "--eps", eps,
+                           "--out-csv", tmp_path / "b.csv") == 2
+
+    def test_infinite_distance_exits_2(self, tmp_path, capsys):
+        assert run("bench", "--sizes", "32", "--methods", "bst", "--d", "inf", "--out-csv", tmp_path / "b.csv") == 2
+        assert "must be finite" in capsys.readouterr().err

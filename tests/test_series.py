@@ -36,6 +36,7 @@ from conftest import rel_l2
 from oracles import (
     bessel_matrix_rescale_loop,
     bessel_power_series,
+    interpolant_coefficients_quadrature,
     kernel_quadrature,
     series_image_dense,
     series_image_two_step,
@@ -166,21 +167,28 @@ class TestCoefficients:
         err = np.abs(series - direct).max() / np.abs(direct).max()
         assert err < 1e-6
 
-    def test_support_grid_embedding_matches_circle_grid(self, geom):
-        # the same field described on the fan support interval and on a
-        # commensurate full-circle grid must give the same coefficients
-        rng = np.random.default_rng(29)
-        m = 4096
-        step = 2 * math.pi / m
-        k = int(geom.gamma_max / step)
-        support = step * np.arange(-k, k + 1)
-        vals = rng.standard_normal((3, 2 * k + 1))
-        circle = np.zeros((3, m))
-        circle[:, : k + 1] = vals[:, k:]
-        circle[:, m - k :] = vals[:, :k]
-        a = fourier_coefficients_gamma(vals, support, 64, padding_factor=1)
-        b = fourier_coefficients_gamma(circle, circle_grid(m), 64)
-        np.testing.assert_allclose(a.b, b.b, atol=1e-10)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n_gamma", [32, 45, 128])
+    def test_support_grid_matches_interpolant_quadrature(self, geom, n_gamma, kind):
+        # on a support grid the coefficients are those of Z's linear
+        # interpolant, zero outside the grid; the end hats are probed alone
+        rng = np.random.default_rng(41)
+        gamma = np.linspace(-geom.gamma_max, geom.gamma_max, n_gamma)
+        Z = np.concatenate([rng.standard_normal((3, n_gamma)), np.eye(n_gamma)[[0, 1, n_gamma - 1]]])
+        if kind == "complex":
+            Z = Z + 1j * np.concatenate([rng.standard_normal((3, n_gamma)), np.eye(n_gamma)[[n_gamma - 1, 0, 1]]])
+        n_terms = choose_truncation(geom, math.pi * n_gamma / 2, 1e-9)
+        co = fourier_coefficients_gamma(Z, gamma, n_terms)
+        orders = np.arange(-(n_terms - 1), n_terms)
+        ref = interpolant_coefficients_quadrature(Z, gamma, orders) / (2 * math.pi)
+        got = np.stack([co.c_order(n) for n in orders], axis=1)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the fold b_n = 2*pi (c_n + (-1)^n c_{-n}) of the reference
+        pos, neg = ref[:, n_terms - 1 :], ref[:, n_terms - 1 :: -1]
+        b_ref = 2 * math.pi * (pos + np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0) * neg)
+        b_ref[:, 0] = 2 * math.pi * pos[:, 0]
+        assert np.abs(co.b.T - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+        assert co.even.dtype == co.odd.dtype == Z.dtype
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_parity_split_matches_dense_product(self, geom, kind):
@@ -264,27 +272,6 @@ class TestSeriesBackprojection:
         assert np.abs(s1 - s2).max() <= 1e-6 * np.abs(s2).max()
         assert np.isfinite(img1).all()
 
-    def test_series_quadrature_equivalence_on_pipeline_field(self, geom, standard128):
-        # Z from the actual shear, embedded on its padded circle grid
-        eps = 1e-9
-        Z = shear_to_theta(standard128, 64)
-        sigma_max = math.pi * 16
-        n_terms = choose_truncation(geom, sigma_max, eps)
-        from fanbeam.series import _circle_embedding
-
-        block, k, m = _circle_embedding(Z, standard128.gamma_grid, 4, n_terms)
-        full = np.zeros((Z.shape[0], m))
-        full[:, : k + 1] = block[:, k:]
-        full[:, m - k :] = block[:, :k]
-        gamma = circle_grid(m)
-        sigma = np.linspace(0.0, sigma_max, 33)
-        co = fourier_coefficients_gamma(full, gamma, n_terms, keep_c=False)
-        series = evaluate_series(co, bessel_table(geom, n_terms, sigma))
-        direct = kernel_quadrature(full, gamma, sigma, geom.d)
-        bound = eps * np.abs(full).max() * 2 * math.pi
-        assert np.abs(series - direct).max() < bound
-
-
 
 def _phantom_sinograms(geom, n):
     p = analytic_radon(shepp_logan_ellipses(), n, n)
@@ -329,7 +316,8 @@ class TestSeriesEvaluationGrid:
             monkeypatch.setattr(series, name, spy)
         series._series_kernel.cache_clear()
         cold = standard_fan_backproject(w, n).data
-        assert sorted(calls) == ["bessel_table", "evaluate_series", "fourier_coefficients_gamma"]
+        # the kernel build takes the table and the hats' closed-form weights
+        assert calls == ["bessel_table"]
         calls.clear()
         warm = standard_fan_backproject(w, n).data
         info = series._series_kernel.cache_info()
@@ -342,6 +330,28 @@ class TestSeriesEvaluationGrid:
         assert kernel.shape == (w.n_gamma, n // 2 + 1)
         assert kernel.dtype == np.complex128 and kernel.flags.c_contiguous
         assert not kernel.flags.writeable
+
+    @pytest.mark.parametrize("n_gamma", [32, 45])
+    @pytest.mark.parametrize("n", [32, 63, 64, 127, 128])
+    def test_kernel_matches_dense_product(self, geom, monkeypatch, n, n_gamma):
+        # the banded, half-height build against the dense, unbanded product
+        # of the public functions; the build calls no FFT
+        class NoFFT:
+            def __getattr__(self, name):
+                raise AssertionError(f"the kernel build called sfft.{name}")
+
+        n_terms = choose_truncation(geom, math.pi * n / 2, 1e-9)
+        monkeypatch.setattr(series, "sfft", NoFFT())
+        series._series_kernel.cache_clear()
+        kernel = series._series_kernel(geom, n_terms, n // 2 + 1, n_gamma)
+        monkeypatch.undo()
+        gamma = np.linspace(-geom.gamma_max, geom.gamma_max, n_gamma)
+        dense = evaluate_series(
+            fourier_coefficients_gamma(np.eye(n_gamma), gamma, n_terms),
+            bessel_table(geom, n_terms, math.pi * np.arange(n // 2 + 1)),
+        )
+        assert np.abs(kernel - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.array_equal(kernel[::-1], np.conj(kernel))
 
     @pytest.mark.parametrize("second", ["detector_count", "distance"])
     def test_kernel_key_follows_the_detector_grid(self, geom, second):
