@@ -52,8 +52,6 @@ from .reference import (
 )
 from .bst import bst_backproject, polar_to_cartesian
 from .series import (
-    BesselTable,
-    SeriesCoefficients,
     bessel_table,
     choose_truncation,
     evaluate_series,
@@ -107,8 +105,6 @@ __all__ = [
     "source_position",
     "bst_backproject",
     "polar_to_cartesian",
-    "BesselTable",
-    "SeriesCoefficients",
     "bessel_table",
     "choose_truncation",
     "evaluate_series",

@@ -48,20 +48,12 @@ def disk_integral_target(sino) -> float:
     return float(dcell * np.sum(sino.data * twice * _chord(t)[None, :]))
 
 
-def restore_dc(img: np.ndarray, sino, dc) -> np.ndarray:
-    """Add the constant selected by the DC policy.
-
-    ``dc`` is "mass" (match the disk-integral identity, default for the
-    spectral routes), "none", or an explicit constant offset.
-    """
-    if dc == "none":
-        return img
-    if dc == "mass":
-        n = img.shape[0]
-        x1, x2 = image_coords(n)
-        mask = x1**2 + x2**2 <= 1.0
-        h2 = (2.0 / n) ** 2
-        current = h2 * float(img[mask].sum())
-        target = disk_integral_target(sino)
-        return img + (target - current) / (h2 * mask.sum())
-    return img + float(dc)
+def restore_dc(img: np.ndarray, sino) -> np.ndarray:
+    """``img`` plus the constant that makes its disk integral match :func:`disk_integral_target`."""
+    n = img.shape[0]
+    x1, x2 = image_coords(n)
+    mask = x1**2 + x2**2 <= 1.0
+    h2 = (2.0 / n) ** 2
+    current = h2 * float(img[mask].sum())
+    target = disk_integral_target(sino)
+    return img + (target - current) / (h2 * mask.sum())

@@ -223,15 +223,15 @@ def _even_extend(p: ParallelSinogram) -> ParallelSinogram:
     return ParallelSinogram(ext, theta_span=2.0 * math.pi)
 
 
-def bst_backproject(p: ParallelSinogram, n: int, dc="mass") -> ImageGrid:
+def bst_backproject(p: ParallelSinogram, n: int) -> ImageGrid:
     """Backproject a parallel sinogram through the polar frequency domain.
 
     Half-range input is extended to [0, 2*pi) by evenness, which realizes
-    the factor 2 of the direct formula.  ``dc`` selects the zero-frequency
-    policy ("mass", "none", or an explicit constant).
+    the factor 2 of the direct formula.  The zero frequency is restored
+    from the sinogram's mass (:func:`fanbeam._dc.restore_dc`).
     """
     q = p if p.full_circle else _even_extend(p)
     sigma_max = math.pi * n / 2.0
     spec = sinogram_polar_spectrum(q, sigma_max)
     img = spectrum_to_image(spec, n)
-    return ImageGrid(restore_dc(img, p, dc))
+    return ImageGrid(restore_dc(img, p))

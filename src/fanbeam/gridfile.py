@@ -15,12 +15,13 @@ upper bound for the half-open angular axes (theta, beta).
 
 Writers replace the target only once the whole file is written, so a
 failed write leaves an existing file intact.  Readers reject a header
-whose dimensions disagree with the file size, and a payload holding NaN
-or infinity.
+whose axes are not finite or whose dimensions disagree with the file
+size, and a payload holding NaN or infinity.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import NamedTuple
@@ -69,6 +70,8 @@ def read_grid(path) -> GridFile:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if dtype != DTYPE_F64LE:
             raise ValueError(f"{path}: unsupported dtype code {dtype}")
+        if not all(map(math.isfinite, (a0_min, a0_max, a1_min, a1_max))):
+            raise ValueError(f"{path}: header axes hold non-finite values")
         # checked against the file size before anything is allocated
         size = rows * cols * 8
         held = os.fstat(fh.fileno()).st_size - _HEADER.size

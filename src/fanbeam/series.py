@@ -25,10 +25,12 @@ samples, which gives the 2n+1 radii spaced pi/4 up to sigma_max = pi*n/2,
 the 1/sigma weight, the cached polar-to-Cartesian resampling and the
 inverse FFT.  The route never forms the rebinned parallel sinogram.
 
-For a real Z, b_n is real for even n and purely imaginary for odd n.  The
-weights and the table of Bessel values J_n(D sigma_k) are therefore kept
-by parity of n, and the truncated series is one real matrix product per
-parity.  The table comes from a downward (Miller) recurrence.
+The table of Bessel values J_n(D sigma_k) is one array, row n holding
+order n, from a downward (Miller) recurrence; the weights b_n are one
+complex array, row n holding order n.  For a real Z, b_n is real for
+even n and purely imaginary for odd n, so the kernel build below splits
+the orders by parity and reads the table's even and odd rows as strided
+views: one real matrix product per parity.
 
 The weights b_n are linear in Z, and Z enters only through its samples
 on the detector grid gamma_j, so the series reassociates: S = Z K with
@@ -61,7 +63,6 @@ table, with two savings:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,8 +76,6 @@ from .core import FanGeometry, ImageGrid, LinearFanSinogram, StandardFanSinogram
 from .rebinning import apply_tau, linear_to_standard, shear_to_theta
 
 __all__ = [
-    "SeriesCoefficients",
-    "BesselTable",
     "choose_truncation",
     "bessel_table",
     "fourier_coefficients_gamma",
@@ -87,65 +86,6 @@ __all__ = [
 
 _RESCALE_EXP = 832  # columns near overflow are scaled by 2**-832, about 1e-250
 _ORDER_BLOCK = 256  # orders per block of the hat weights and of the kernel build
-
-
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Fourier coefficients of Z in gamma and the folded series weights.
-
-    The weights b_n(theta) are stored by parity of n, each block
-    C-contiguous with shape (orders, n_theta): ``even`` row m holds
-    b_{2m}, ``odd`` row m holds b_{2m+1} / i.  For a real Z both blocks
-    are real (b_n is real for even n and imaginary for odd n).  ``c``,
-    when kept, has shape (2*n_terms - 1, n_theta) with row i holding
-    order i - (n_terms - 1).
-    """
-
-    n_terms: int
-    even: np.ndarray
-    odd: np.ndarray
-    c: np.ndarray | None = None
-
-    @property
-    def b(self) -> np.ndarray:
-        """All weights b_n(theta), n = 0..n_terms-1, as a new complex array."""
-        b = np.empty((self.n_terms, self.even.shape[1]), dtype=np.complex128)
-        b[0::2] = self.even
-        b[1::2] = 1j * self.odd
-        return b
-
-    def c_order(self, n: int) -> np.ndarray:
-        if self.c is None:
-            raise ValueError("coefficients were computed with keep_c=False")
-        if abs(n) >= self.n_terms:
-            raise IndexError(f"order {n} outside +-{self.n_terms - 1}")
-        return self.c[n + self.n_terms - 1]
-
-
-@dataclass(frozen=True)
-class BesselTable:
-    """Values J_n(D * sigma_k) for n = 0 .. n_terms-1, stored by parity of n.
-
-    ``even[m, k]`` = J_{2m}(D sigma_k) and ``odd[m, k]`` = J_{2m+1}(D
-    sigma_k), each C-contiguous, so the series is one real matrix product
-    per parity.
-    """
-
-    sigmas: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
-
-    @property
-    def n_terms(self) -> int:
-        return self.even.shape[0] + self.odd.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        """The whole table, values[n, k] = J_n(D * sigma_k), as a new array."""
-        values = np.empty((self.n_terms, self.sigmas.size))
-        values[0::2] = self.even
-        values[1::2] = self.odd
-        return values
 
 
 def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
@@ -228,13 +168,11 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     return out
 
 
-def bessel_table(geom: FanGeometry, n_terms: int, sigma_grid) -> BesselTable:
-    """Tabulate J_n(D*sigma) for the series evaluation (>= 1e-12 absolute)."""
+def bessel_table(geom: FanGeometry, n_terms: int, sigma) -> np.ndarray:
+    """J_n(D * sigma_k) for n = 0..n_terms-1 (>= 1e-12 absolute), shape (n_terms, n_sigma)."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    sigmas = np.asarray(sigma_grid, dtype=np.float64)
-    values = _bessel_matrix(geom.d * sigmas, n_terms)
-    return BesselTable(sigmas, np.ascontiguousarray(values[0::2]), np.ascontiguousarray(values[1::2]))
+    return _bessel_matrix(geom.d * np.asarray(sigma, dtype=np.float64), n_terms)
 
 
 _SINE_DEFECT_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
@@ -296,99 +234,72 @@ def _real_fold(w: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coefficient_blocks(Z: np.ndarray, gamma: np.ndarray, n_terms: int):
-    """Yield (lo, P, N) over blocks of orders n = lo, lo+1, ..., with lo even.
+    """Yield (lo, w) over blocks of orders n = lo, lo+1, ..., with lo even.
 
-    P[:, i] holds 2*pi*c_n(theta) and N[:, i] holds 2*pi*c_{-n}(theta)
-    for n = lo + i; N is None for a real Z.
+    w[:, i] holds 2*pi*c_n(theta) for n = lo + i.
     """
     m = gamma.size
-    is_complex = np.iscomplexobj(Z)
     step = gamma[1] - gamma[0]
     if abs(m * step - 2.0 * math.pi) < 1e-9 * 2.0 * math.pi and abs(gamma[0]) < 1e-12:
         # a full-circle grid in FFT order: the DFT gives the coefficients
         if 2 * n_terms > m:
             raise ValueError(f"n_terms={n_terms} exceeds half the padded grid ({m})")
-        scale = 2.0 * math.pi / m
-        if is_complex:
-            spec = sfft.fft(Z, axis=1, workers=get_workers())
-            neg = np.concatenate([spec[:, :1], spec[:, : m - n_terms : -1]], axis=1) * scale
-        else:
-            spec = sfft.rfft(Z, axis=1, workers=get_workers())
-            neg = None
-        yield 0, spec[:, :n_terms] * scale, neg
+        spec = sfft.rfft(Z, axis=1, workers=get_workers())
+        yield 0, spec[:, :n_terms] * (2.0 * math.pi / m)
         return
-    # a support grid: the exact coefficients of Z's linear interpolant, zero outside it
+    # a support grid: the exact coefficients of Z's linear interpolant, zero outside it;
+    # the complex weights enter the product as pairs of real columns
     h = (gamma[-1] - gamma[0]) / (m - 1)
     for lo in range(0, n_terms, _ORDER_BLOCK):
         weights = _hat_weights(lo, min(lo + _ORDER_BLOCK, n_terms), gamma, h, m)
-        if is_complex:
-            yield lo, Z @ weights, np.conj(np.conj(Z) @ weights)
-        else:
-            yield lo, _product(Z.T, weights), None
+        yield lo, (Z @ weights.view(np.float64)).view(np.complex128)
 
 
-def fourier_coefficients_gamma(
-    Z: np.ndarray,
-    gamma: np.ndarray,
-    n_terms: int,
-    keep_c: bool = True,
-) -> SeriesCoefficients:
-    """Continuous Fourier-series coefficients of Z along gamma.
+def fourier_coefficients_gamma(Z: np.ndarray, gamma: np.ndarray, n_terms: int) -> np.ndarray:
+    """Series weights b_n(theta) of a real field Z, from its Fourier coefficients along gamma.
 
-    ``Z`` has shape (n_theta, n_gamma).  On a uniform support grid
-    ``gamma`` (any grid but the one below) they are the exact
-    coefficients of Z's linear interpolant, zero outside the grid, in
-    closed form per detector hat.  A grid spanning the circle in FFT
-    order (gamma_k = 2*pi*k/M) takes the DFT of Z, which needs
-    2*n_terms <= M.
+    ``Z`` is real with shape (n_theta, gamma.size).  On a uniform support
+    grid ``gamma`` (any grid but the one below) the coefficients c_n are
+    the exact coefficients of Z's linear interpolant, zero outside the
+    grid, in closed form per detector hat.  A grid spanning the circle
+    in FFT order (gamma_k = 2*pi*k/M) takes the DFT of Z, which needs
+    2*n_terms <= M.  Returns b, complex with shape (n_terms, n_theta):
+    b_0 = 2*pi c_0 and b_n = 2*pi (c_n + (-1)^n c_{-n}), real for even n
+    and imaginary for odd n.
     """
     Z = np.asarray(Z)
+    gamma = np.asarray(gamma, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError("Z must be 2-D (n_theta, n_gamma)")
+    if np.iscomplexobj(Z):
+        raise ValueError("Z must be real")
+    if gamma.ndim != 1 or gamma.size < 2 or Z.shape[1] != gamma.size:
+        raise ValueError(
+            f"Z has {Z.shape[1]} samples along gamma but the grid has shape {gamma.shape}; "
+            "they must agree, with at least 2 samples"
+        )
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    n_theta = Z.shape[0]
-    dtype = np.complex128 if np.iscomplexobj(Z) else np.float64
-    even = np.empty(((n_terms + 1) // 2, n_theta), dtype=dtype)
-    odd = np.empty((n_terms // 2, n_theta), dtype=dtype)
-    c = np.empty((2 * n_terms - 1, n_theta), dtype=np.complex128) if keep_c else None
-    for lo, pos, neg in _coefficient_blocks(Z, np.asarray(gamma, dtype=np.float64), n_terms):
-        hi = lo + pos.shape[1]
-        if neg is None:
-            block_even, block_odd = _real_fold(pos, lo)
-            neg = np.conj(pos) if keep_c else None
-        else:
-            # b_0 = 2*pi c_0 and b_n = 2*pi (c_n + (-1)^n c_{-n})
-            b = pos + np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0) * neg
-            if lo == 0:
-                b[:, 0] = pos[:, 0]
-            block_even, block_odd = b[:, 0::2], -1j * b[:, 1::2]
-        even[lo // 2 : (hi + 1) // 2] = block_even.T
-        odd[lo // 2 : hi // 2] = block_odd.T
-        if keep_c:
-            c[n_terms - hi : n_terms - lo] = neg[:, ::-1].T / (2.0 * math.pi)
-            c[n_terms - 1 + lo : n_terms - 1 + hi] = pos.T / (2.0 * math.pi)
-    return SeriesCoefficients(n_terms=n_terms, even=even, odd=odd, c=c)
+    b = np.empty((n_terms, Z.shape[0]), dtype=np.complex128)
+    for lo, w in _coefficient_blocks(Z, gamma, n_terms):
+        hi = lo + w.shape[1]
+        even, odd = _real_fold(w, lo)
+        b[lo:hi:2] = even.T
+        b[lo + 1 : hi : 2] = 1j * odd.T
+    return b
 
 
-def _product(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """table.T @ weights as a real product; complex weights are pairs of real columns."""
-    if np.iscomplexobj(weights):
-        pairs = np.ascontiguousarray(weights).view(np.float64)
-        return (table.T @ pairs).view(np.complex128)
-    return table.T @ weights
+def evaluate_series(b: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Truncated series sum_n b_n(theta) J_n(D sigma_k), complex with shape (n_theta, n_sigma).
 
-
-def evaluate_series(coeffs: SeriesCoefficients, table: BesselTable) -> np.ndarray:
-    """Truncated series sum_n b_n(theta) J_n(D sigma), one matrix product per parity of n.
-
-    Returns a complex array of shape (n_theta, n_sigma).
+    ``b`` comes from :func:`fourier_coefficients_gamma`, ``table`` from
+    :func:`bessel_table` with at least as many orders; the complex
+    weights enter the one real product as pairs of real columns.
     """
-    if table.n_terms < coeffs.n_terms:
-        raise ValueError("Bessel table has fewer orders than the coefficients")
-    even = _product(table.even[: coeffs.even.shape[0]], coeffs.even)
-    odd = _product(table.odd[: coeffs.odd.shape[0]], coeffs.odd)
-    return (even + 1j * odd).T
+    if table.shape[0] < b.shape[0]:
+        raise ValueError("Bessel table has fewer orders than the weights")
+    pairs = np.ascontiguousarray(b, dtype=np.complex128).view(np.float64)
+    return (table[: b.shape[0]].T @ pairs).view(np.complex128).T
 
 
 def _flushed(block: np.ndarray) -> np.ndarray:
@@ -409,8 +320,9 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
     detector grid linspace(-gamma_max, gamma_max, n_gamma); one entry
     holds 16 * n_gamma * n_sigma bytes.
     """
-    table = bessel_table(geom, n_terms, math.pi * np.arange(n_sigma))
-    half_x = 0.5 * geom.d * table.sigmas
+    sigma = math.pi * np.arange(n_sigma)
+    table = bessel_table(geom, n_terms, sigma)
+    half_x = 0.5 * geom.d * sigma
     h = 2.0 * geom.gamma_max / (n_gamma - 1)
     # the grid is symmetric, so Re K is even in j and Im K odd: build the
     # first half of the rows and mirror the rest
@@ -431,8 +343,8 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
             below = (lo >= half_x) & (lo * log_half_x - gammaln(lo + 1.0) < log_floor)
         k0 = int(np.count_nonzero(below))
         even, odd = _real_fold(_hat_weights(lo, hi, gamma, h, n_gamma), lo)
-        re[:, k0:] += even @ _flushed(table.even[lo // 2 : (hi + 1) // 2, k0:])
-        im[:, k0:] += odd @ _flushed(table.odd[lo // 2 : hi // 2, k0:])
+        re[:, k0:] += even @ _flushed(table[lo:hi:2, k0:])
+        im[:, k0:] += odd @ _flushed(table[lo + 1 : hi : 2, k0:])
     kernel = np.empty((n_gamma, n_sigma), dtype=np.complex128)
     kernel[:rows].real = re
     kernel[:rows].imag = im
@@ -441,7 +353,7 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
     return kernel
 
 
-def _series_image(z: StandardFanSinogram, source_sino, n: int, eps: float, dc) -> ImageGrid:
+def _series_image(z: StandardFanSinogram, source_sino, n: int, eps: float) -> ImageGrid:
     geom = z.geometry
     sigma_max = math.pi * n / 2.0
     n_terms = choose_truncation(geom, sigma_max, eps)
@@ -456,19 +368,19 @@ def _series_image(z: StandardFanSinogram, source_sino, n: int, eps: float, dc) -
     # zero padded to 4n samples: 2n+1 radii spaced pi/4 up to sigma_max
     spec = _detector_spectrum(q, -1.0, 2.0 / n, 4 * n, sigma_max)
     img = spectrum_to_image(spec, n)
-    return ImageGrid(restore_dc(img, source_sino, dc))
+    return ImageGrid(restore_dc(img, source_sino))
 
 
-def standard_fan_backproject(w: StandardFanSinogram, n: int, eps: float = 1e-9, dc="mass") -> ImageGrid:
+def standard_fan_backproject(w: StandardFanSinogram, n: int, eps: float = 1e-9) -> ImageGrid:
     """Series backprojection of an equiangular fan sinogram."""
-    return _series_image(w, w, n, eps, dc)
+    return _series_image(w, w, n, eps)
 
 
-def linear_fan_backproject(g: LinearFanSinogram, n: int, eps: float = 1e-9, dc="mass") -> ImageGrid:
+def linear_fan_backproject(g: LinearFanSinogram, n: int, eps: float = 1e-9) -> ImageGrid:
     """Series backprojection of a flat-detector fan sinogram.
 
     Two steps: switch to the equiangular parametrization (L, then the
     tau = D sec^2 gamma weight), then the standard series route.
     """
     z = apply_tau(linear_to_standard(g, g.n_s))
-    return _series_image(z, g, n, eps, dc)
+    return _series_image(z, g, n, eps)

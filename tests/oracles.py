@@ -210,7 +210,7 @@ def bessel_matrix_rescale_loop(x, n_terms):
     return out
 
 
-def series_image_dense(z, source, n, eps=1e-9, dc="mass"):
+def series_image_dense(z, source, n, eps=1e-9):
     """Series backprojection with the series summed on every radius of the polar grid.
 
     The reference for the evaluation grid of the series route, built from
@@ -225,15 +225,15 @@ def series_image_dense(z, source, n, eps=1e-9, dc="mass"):
     sigma = np.linspace(0.0, sigma_max, 2 * n + 1)
     n_terms = choose_truncation(geom, sigma_max, eps)
     Z = shear_to_theta(z, 2 * z.n_beta)
-    b = fourier_coefficients_gamma(Z, z.gamma_grid, n_terms, keep_c=False).b
-    values = bessel_table(geom, n_terms, sigma).values
+    b = fourier_coefficients_gamma(Z, z.gamma_grid, n_terms)
+    values = bessel_table(geom, n_terms, sigma)
     series = (values.T @ b.real).T + 1j * (values.T @ b.imag).T
     spec = np.zeros_like(series)
     spec[:, 1:] = 4.0 * math.pi / sigma[1:][None, :] * series[:, 1:]
-    return restore_dc(spectrum_to_image(PolarSpectrum(spec, sigma_max), n), source, dc)
+    return restore_dc(spectrum_to_image(PolarSpectrum(spec, sigma_max), n), source)
 
 
-def series_image_two_step(z, source, n, eps=1e-9, dc="mass"):
+def series_image_two_step(z, source, n, eps=1e-9):
     """Series backprojection with the weights b computed from the data on every call.
 
     The reference for the series route's cached kernel: the weights of
@@ -248,8 +248,8 @@ def series_image_two_step(z, source, n, eps=1e-9, dc="mass"):
     n_terms = choose_truncation(geom, sigma_max, eps)
     table = bessel_table(geom, n_terms, math.pi * np.arange(n // 2 + 1))
     Z = shear_to_theta(z, 2 * z.n_beta)
-    S = evaluate_series(fourier_coefficients_gamma(Z, z.gamma_grid, n_terms, keep_c=False), table)
+    S = evaluate_series(fourier_coefficients_gamma(Z, z.gamma_grid, n_terms), table)
     S[:, 1::2] *= -1.0
     q = 0.5 * sfft.irfft(S, n, axis=1, norm="forward")
     spec = _detector_spectrum(q, -1.0, 2.0 / n, 4 * n, sigma_max)
-    return ImageGrid(restore_dc(spectrum_to_image(spec, n), source, dc))
+    return ImageGrid(restore_dc(spectrum_to_image(spec, n), source))

@@ -153,7 +153,7 @@ def test_criterion_2_series_identity():
     n_terms = choose_truncation(geom, sigma_max, eps)
     assert 2 * n_terms <= m
     sigma = np.linspace(0.0, sigma_max, 65)
-    coeffs = fourier_coefficients_gamma(fields, gamma, n_terms, keep_c=False)
+    coeffs = fourier_coefficients_gamma(fields, gamma, n_terms)
     series = evaluate_series(coeffs, bessel_table(geom, n_terms, sigma))
     direct = kernel_quadrature(fields, gamma, sigma, geom.d)
     err = float(np.abs(series - direct).max() / np.abs(direct).max())
@@ -228,7 +228,7 @@ def test_criterion_6_truncation_bound():
     sigma = np.linspace(0.0, sigma_max, 2 * n + 1)
     imgs = []
     for terms in (n_terms, 2 * n_terms):
-        co = fourier_coefficients_gamma(Z, w.gamma_grid, terms, keep_c=False)
+        co = fourier_coefficients_gamma(Z, w.gamma_grid, terms)
         series = evaluate_series(co, bessel_table(geom, terms, sigma))
         spec = np.zeros_like(series)
         spec[:, 1:] = 4 * math.pi / sigma[1:][None, :] * series[:, 1:]

@@ -57,19 +57,17 @@ class TestBstBackproject:
         a = rng.standard_normal((32, 33))
         b = rng.standard_normal((32, 33))
         alpha, beta = 1.7, -0.4
-        combo = bst_backproject(ParallelSinogram(alpha * a + beta * b), 32, dc="none").data
-        parts = alpha * bst_backproject(ParallelSinogram(a), 32, dc="none").data + beta * bst_backproject(
-            ParallelSinogram(b), 32, dc="none"
-        ).data
+        combo = bst_backproject(ParallelSinogram(alpha * a + beta * b), 32).data
+        parts = alpha * bst_backproject(ParallelSinogram(a), 32).data + beta * bst_backproject(ParallelSinogram(b), 32).data
         scale = np.abs(parts).max()
         np.testing.assert_allclose(combo, parts, atol=1e-10 * scale)
 
     def test_dc_neutrality(self):
-        # mean-subtracted input plus the "mass" policy reproduces the
+        # mean-subtracted input plus the mass restore reproduces the
         # direct route's disk mean
         p = analytic_radon(random_ellipse_phantom(3), 64, 64)
         ref = backproject_parallel(p, 64).data
-        img = bst_backproject(p, 64, dc="mass").data
+        img = bst_backproject(p, 64).data
         m = disk_mask(64, 1.0)
         assert img[m].mean() == pytest.approx(ref[m].mean(), rel=5e-3)
 

@@ -145,6 +145,15 @@ class TestBackprojectCommand:
         assert run("backproject", "--in", bad, "--geometry", "linear", "--n", 32, "--out", tmp_path / "x.grd") == 2
         assert "not symmetric" in capsys.readouterr().err
 
+    def test_non_finite_beta_axis_exits_2(self, linear_file, tmp_path, capsys):
+        grid = read_grid(linear_file)
+        bad = tmp_path / "nan_beta.grd"
+        write_grid(bad, grid.data, (math.nan, math.nan), grid.axis1)
+        out = tmp_path / "x.grd"
+        assert run("backproject", "--in", bad, "--geometry", "linear", "--n", 32, "--out", out) == 2
+        assert "header axes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run("backproject", "--in", tmp_path / "none.grd", "--geometry", "linear", "--n", 32,
                    "--out", tmp_path / "x.grd") == 2

@@ -76,6 +76,17 @@ def test_non_finite_payload_rejected(tmp_path, bad):
         read_grid(path)
 
 
+@pytest.mark.parametrize("axis", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_header_axis_rejected(tmp_path, axis, bad):
+    path = tmp_path / "axis.bin"
+    axes = [0.0, 1.0, -1.0, 1.0]
+    axes[axis] = bad
+    write_grid(path, np.zeros((3, 4)), tuple(axes[:2]), tuple(axes[2:]))
+    with pytest.raises(ValueError, match="header axes"):
+        read_grid(path)
+
+
 def test_failed_write_keeps_existing_file(tmp_path, monkeypatch):
     from fanbeam import gridfile
 

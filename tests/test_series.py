@@ -37,7 +37,6 @@ from oracles import (
     bessel_matrix_rescale_loop,
     bessel_power_series,
     interpolant_coefficients_quadrature,
-    kernel_quadrature,
     series_image_dense,
     series_image_two_step,
 )
@@ -77,18 +76,18 @@ class TestChooseTruncation:
 class TestBesselTable:
     def test_low_order_values(self, geom):
         tab = bessel_table(geom, 3, [0.0, 0.2])
-        assert tab.values[0, 0] == 1.0
-        assert tab.values[1, 0] == 0.0
-        assert tab.values[2, 0] == 0.0
+        assert tab[0, 0] == 1.0
+        assert tab[1, 0] == 0.0
+        assert tab[2, 0] == 0.0
         # J_1(2) from the power-series definition
-        assert tab.values[1, 1] == pytest.approx(bessel_power_series(1, 2.0), abs=1e-13)
-        assert tab.values[1, 1] == pytest.approx(0.5767248, abs=1e-7)
+        assert tab[1, 1] == pytest.approx(bessel_power_series(1, 2.0), abs=1e-13)
+        assert tab[1, 1] == pytest.approx(0.5767248, abs=1e-7)
 
     def test_against_reference_routine(self, geom):
         sig = np.concatenate([[0.0], np.geomspace(1e-3, 80.0, 40)])
         tab = bessel_table(geom, 300, sig)
         ref = jv(np.arange(300)[:, None], (geom.d * sig)[None, :])
-        np.testing.assert_allclose(tab.values, ref, atol=1e-12)
+        np.testing.assert_allclose(tab, ref, atol=1e-12)
 
     def test_large_argument_regime(self, geom):
         sig = np.linspace(0.0, 400.0, 33)
@@ -100,10 +99,10 @@ class TestBesselTable:
 
     def test_bound_and_layout(self, geom):
         tab = bessel_table(geom, 64, np.linspace(0, 30, 16))
-        assert np.abs(tab.values).max() <= 1.0
+        assert np.abs(tab).max() <= 1.0
         # nonnegative orders only, row n holding J_n; J_{-n} is folded into b_n upstream
-        assert tab.values.shape == (64, 16)
-        assert tab.values[0, 0] == 1.0 and not tab.values[1:, 0].any()
+        assert tab.shape == (64, 16)
+        assert tab[0, 0] == 1.0 and not tab[1:, 0].any()
 
     @pytest.mark.parametrize(
         "x, n_terms",
@@ -123,96 +122,72 @@ class TestCoefficients:
     def test_constant_field(self):
         m = 128
         Z = np.full((4, m), 3.0)
-        co = fourier_coefficients_gamma(Z, circle_grid(m), 8)
-        np.testing.assert_allclose(co.b[0], 2 * math.pi * 3.0, atol=1e-12)
-        np.testing.assert_allclose(co.b[1:], 0.0, atol=1e-12)
-        np.testing.assert_allclose(co.c_order(0), 3.0, atol=1e-13)
-        np.testing.assert_allclose(co.c_order(3), 0.0, atol=1e-13)
+        b = fourier_coefficients_gamma(Z, circle_grid(m), 8)
+        assert b.shape == (8, 4) and b.dtype == np.complex128
+        np.testing.assert_allclose(b[0], 2 * math.pi * 3.0, atol=1e-12)
+        np.testing.assert_allclose(b[1:], 0.0, atol=1e-12)
 
     def test_cosine_field_folds_to_zero(self):
-        # Z = cos gamma: c_1 = c_-1 = 1/2, so b_1 = 2*pi*(1/2 - 1/2) = 0
+        # Z = cos gamma: c_1 = c_-1 = 1/2, so b_1 = 2*pi*(1/2 - 1/2) = 0;
+        # Z = sin gamma: c_1 = -i/2 = -c_-1, so b_1 = -2*pi*i
         m = 128
         gamma = circle_grid(m)
-        Z = np.tile(np.cos(gamma), (3, 1))
-        co = fourier_coefficients_gamma(Z, gamma, 4)
-        np.testing.assert_allclose(co.c_order(1), 0.5, atol=1e-13)
-        np.testing.assert_allclose(co.c_order(-1), 0.5, atol=1e-13)
-        np.testing.assert_allclose(co.b[1], 0.0, atol=1e-12)
+        b = fourier_coefficients_gamma(np.tile(np.cos(gamma), (3, 1)), gamma, 4)
+        np.testing.assert_allclose(b, 0.0, atol=1e-12)
+        b = fourier_coefficients_gamma(np.tile(np.sin(gamma), (3, 1)), gamma, 4)
+        np.testing.assert_allclose(b[1], -2j * math.pi, atol=1e-12)
+        np.testing.assert_allclose(b[[0, 2, 3]], 0.0, atol=1e-12)
 
-    def test_fold_definition_from_stored_c(self, geom):
-        rng = np.random.default_rng(17)
-        m = 256
-        Z = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
-        co = fourier_coefficients_gamma(Z, circle_grid(m), 32)
-        np.testing.assert_allclose(co.b[0], 2 * math.pi * co.c_order(0), atol=1e-12)
-        for n in (1, 2, 7, 31):
-            expected = 2 * math.pi * (co.c_order(n) + (-1) ** n * co.c_order(-n))
-            np.testing.assert_allclose(co.b[n], expected, atol=1e-12)
-
-    def test_series_matches_quadrature_complex_field(self, geom):
-        # pins the c_{-n} reading of the fold on complex-valued data
-        rng = np.random.default_rng(23)
-        m = 512
-        gamma = circle_grid(m)
-        Z = np.zeros((6, m), dtype=complex)
-        k = 40
-        Z[:, : k + 1] = rng.standard_normal((6, k + 1)) + 1j * rng.standard_normal((6, k + 1))
-        Z[:, m - k :] = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
-        sigma = np.linspace(0.0, 16.0, 33)
-        n_terms = choose_truncation(geom, 16.0, 1e-9)
-        co = fourier_coefficients_gamma(Z, gamma, n_terms)
-        tab = bessel_table(geom, n_terms, sigma)
-        series = evaluate_series(co, tab)
-        direct = kernel_quadrature(Z, gamma, sigma, geom.d)
-        err = np.abs(series - direct).max() / np.abs(direct).max()
-        assert err < 1e-6
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("n_gamma", [32, 45, 128])
-    def test_support_grid_matches_interpolant_quadrature(self, geom, n_gamma, kind):
+    def test_support_grid_matches_interpolant_quadrature(self, geom, n_gamma):
         # on a support grid the coefficients are those of Z's linear
         # interpolant, zero outside the grid; the end hats are probed alone
         rng = np.random.default_rng(41)
         gamma = np.linspace(-geom.gamma_max, geom.gamma_max, n_gamma)
         Z = np.concatenate([rng.standard_normal((3, n_gamma)), np.eye(n_gamma)[[0, 1, n_gamma - 1]]])
-        if kind == "complex":
-            Z = Z + 1j * np.concatenate([rng.standard_normal((3, n_gamma)), np.eye(n_gamma)[[n_gamma - 1, 0, 1]]])
         n_terms = choose_truncation(geom, math.pi * n_gamma / 2, 1e-9)
-        co = fourier_coefficients_gamma(Z, gamma, n_terms)
+        b = fourier_coefficients_gamma(Z, gamma, n_terms)
         orders = np.arange(-(n_terms - 1), n_terms)
         ref = interpolant_coefficients_quadrature(Z, gamma, orders) / (2 * math.pi)
-        got = np.stack([co.c_order(n) for n in orders], axis=1)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         # the fold b_n = 2*pi (c_n + (-1)^n c_{-n}) of the reference
         pos, neg = ref[:, n_terms - 1 :], ref[:, n_terms - 1 :: -1]
         b_ref = 2 * math.pi * (pos + np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0) * neg)
         b_ref[:, 0] = 2 * math.pi * pos[:, 0]
-        assert np.abs(co.b.T - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
-        assert co.even.dtype == co.odd.dtype == Z.dtype
+        assert np.abs(b.T - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
 
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_parity_split_matches_dense_product(self, geom, kind):
-        # a real field has real b_n for even n and imaginary b_n for odd n,
-        # so its parity blocks are real; a complex field keeps complex blocks
+    @pytest.mark.parametrize("grid", ["circle", "support"])
+    def test_real_field_weights_match_dense_product(self, geom, grid):
+        # a real field has exactly real b_n for even n and exactly imaginary
+        # b_n for odd n, on either kind of grid
         rng = np.random.default_rng(37)
         m = 512
+        gamma = circle_grid(m) if grid == "circle" else np.linspace(-geom.gamma_max, geom.gamma_max, m)
         Z = rng.standard_normal((7, m))
-        if kind == "complex":
-            Z = Z + 1j * rng.standard_normal((7, m))
         n_terms = 101
-        co = fourier_coefficients_gamma(Z, circle_grid(m), n_terms, keep_c=False)
-        assert co.even.dtype == co.odd.dtype == Z.dtype
-        b = co.b
-        if kind == "real":
-            assert not b[0::2].imag.any() and not b[1::2].real.any()
+        b = fourier_coefficients_gamma(Z, gamma, n_terms)
+        assert b.shape == (n_terms, 7)
+        assert not b[0::2].imag.any() and not b[1::2].real.any()
         tab = bessel_table(geom, n_terms, np.linspace(0.0, 20.0, 41))
-        dense = (tab.values.T @ b).T
-        split = evaluate_series(co, tab)
-        assert np.abs(split - dense).max() <= 1e-14 * np.abs(dense).max()
+        dense = (tab.T.astype(complex) @ b).T
+        series = evaluate_series(b, tab)
+        assert np.abs(series - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_too_many_terms_rejected(self):
         with pytest.raises(ValueError, match="exceeds half the padded grid"):
             fourier_coefficients_gamma(np.ones((2, 64)), circle_grid(64), 64)
+
+    @pytest.mark.parametrize("n_gamma, m", [(256, 128), (1, 1)])
+    def test_grid_mismatch_rejected(self, n_gamma, m):
+        # Z's gamma axis must be the grid, of at least two samples
+        with pytest.raises(ValueError, match="samples along gamma"):
+            fourier_coefficients_gamma(np.full((2, n_gamma), 3.0), circle_grid(m), 1)
+
+    @pytest.mark.parametrize("grid", ["circle", "support"])
+    def test_complex_field_rejected(self, geom, grid):
+        m = 64
+        gamma = circle_grid(m) if grid == "circle" else np.linspace(-geom.gamma_max, geom.gamma_max, m)
+        with pytest.raises(ValueError, match="real"):
+            fourier_coefficients_gamma(np.ones((2, m), dtype=complex), gamma, 8)
 
 
 class TestSeriesBackprojection:
@@ -253,10 +228,8 @@ class TestSeriesBackprojection:
         wa = StandardFanSinogram(a, geom)
         wb = StandardFanSinogram(b, geom)
         wab = StandardFanSinogram(2.0 * a - 0.5 * b, geom)
-        combo = standard_fan_backproject(wab, 32, dc="none").data
-        parts = 2.0 * standard_fan_backproject(wa, 32, dc="none").data - 0.5 * standard_fan_backproject(
-            wb, 32, dc="none"
-        ).data
+        combo = standard_fan_backproject(wab, 32).data
+        parts = 2.0 * standard_fan_backproject(wa, 32).data - 0.5 * standard_fan_backproject(wb, 32).data
         np.testing.assert_allclose(combo, parts, atol=1e-10 * np.abs(parts).max())
 
     def test_truncation_stability(self, geom, standard128):
@@ -264,11 +237,11 @@ class TestSeriesBackprojection:
         img1 = standard_fan_backproject(standard128, 64, eps=1e-9).data
         n_terms = choose_truncation(geom, math.pi * 32, 1e-9)
         Z = shear_to_theta(standard128, 2 * standard128.n_beta)
-        co1 = fourier_coefficients_gamma(Z, standard128.gamma_grid, n_terms, keep_c=False)
-        co2 = fourier_coefficients_gamma(Z, standard128.gamma_grid, 2 * n_terms, keep_c=False)
-        tab = bessel_table(geom, 2 * n_terms, np.linspace(0, math.pi * 32, 129))
-        s1 = evaluate_series(co1, bessel_table(geom, n_terms, tab.sigmas))
-        s2 = evaluate_series(co2, tab)
+        b1 = fourier_coefficients_gamma(Z, standard128.gamma_grid, n_terms)
+        b2 = fourier_coefficients_gamma(Z, standard128.gamma_grid, 2 * n_terms)
+        sigma = np.linspace(0, math.pi * 32, 129)
+        s1 = evaluate_series(b1, bessel_table(geom, n_terms, sigma))
+        s2 = evaluate_series(b2, bessel_table(geom, 2 * n_terms, sigma))
         assert np.abs(s1 - s2).max() <= 1e-6 * np.abs(s2).max()
         assert np.isfinite(img1).all()
 
