@@ -32,11 +32,9 @@ import functools
 import math
 
 import numpy as np
-from scipy import fft as sfft
 
 from ._dc import restore_dc
 from ._interp import _EDGE_TOL
-from ._threads import get_workers
 from .core import ImageGrid, ParallelSinogram, PolarSpectrum
 
 __all__ = ["bst_backproject", "polar_to_cartesian", "sinogram_polar_spectrum"]
@@ -52,19 +50,30 @@ _PAD_IMAGE = 2
 _BUILD_NODES = 1 << 16
 
 
+def _fast_len(m: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= m, a length the real FFT handles fast."""
+    n = m
+    # below 2**64, n divides 30**64 exactly when 2, 3 and 5 are its only prime factors
+    while 30**64 % n:
+        n += 1
+    return n
+
+
 def _detector_spectrum(data: np.ndarray, t0: float, dt: float, length: int, sigma_max: float) -> PolarSpectrum:
     """Polar spectrum (4*pi/sigma) qhat of rows sampled at t0 + j*dt, DC zeroed.
 
     qhat(sigma_m, theta_row) comes from the rows zero padded to ``length``
     samples, on the radii sigma_m = 2*pi*m/(length*dt) up to sigma_max.
     """
-    qhat = sfft.rfft(data, n=length, axis=1, workers=get_workers())
-    sigma = 2.0 * math.pi * np.arange(qhat.shape[1]) / (length * dt)
+    spec = np.fft.rfft(data, n=length, axis=1)
+    sigma = 2.0 * math.pi * np.arange(spec.shape[1]) / (length * dt)
     keep = int(np.searchsorted(sigma, sigma_max * (1.0 + 1e-12), side="right"))
     keep = max(2, min(keep, sigma.size))
-    qhat = qhat[:, 1:keep] * (dt * np.exp(-1j * sigma[1:keep] * t0))[None, :]
-    spec = np.zeros((data.shape[0], keep), dtype=np.complex128)
-    spec[:, 1:] = 4.0 * math.pi / sigma[1:keep][None, :] * qhat
+    # weighted in place, with no temporary the size of the spectrum
+    spec = spec[:, :keep]
+    spec[:, 0] = 0.0
+    spec[:, 1:] *= dt * np.exp(-1j * sigma[1:keep] * t0)
+    spec[:, 1:] *= 4.0 * math.pi / sigma[1:keep]
     return PolarSpectrum(spec, sigma_max=float(sigma[keep - 1]))
 
 
@@ -72,7 +81,7 @@ def sinogram_polar_spectrum(q: ParallelSinogram, sigma_max: float) -> PolarSpect
     """Polar spectrum (4*pi/sigma) qhat of a full-circle sinogram, DC zeroed."""
     if not q.full_circle:
         raise ValueError("expected a full-circle sinogram")
-    length = sfft.next_fast_len(_PAD_T * q.n_t, real=True)
+    length = _fast_len(_PAD_T * q.n_t)
     return _detector_spectrum(q.data, -1.0, 2.0 / (q.n_t - 1), length, sigma_max)
 
 
@@ -121,16 +130,22 @@ def _quarter_plane_operator(n_theta: int, n_sigma: int, sigma_max: float, n: int
     return sparse.csr_array((weights.ravel(), indices.ravel(), indptr), shape=(q * q, n_rows * n_sigma))
 
 
-def _rows(data: np.ndarray, start: int, count: int) -> np.ndarray:
+def _rows(data: np.ndarray, start: int, count: int, partner: int = 0) -> np.ndarray:
     """Rows start + j of the polar data and, beside them, rows -start - j (mod n_theta).
 
     The second column is the data reflected theta -> -theta: sampled at a
     quarter-plane node it gives the mirrored node in the quadrant k2 < 0.
+    A nonzero ``partner`` adds to each row the conjugate of the row
+    ``partner`` further on, one column at a time.
     """
+    n_theta = data.shape[0]
     j = np.arange(count)
     x = np.empty((count, data.shape[1], 2), dtype=np.complex128)
-    x[:, :, 0] = data[(start + j) % data.shape[0]]
-    x[:, :, 1] = data[(-start - j) % data.shape[0]]
+    for col, rows in enumerate((start + j, -start - j)):
+        x[:, :, col] = data[rows % n_theta]
+        if partner:
+            conj = data[(rows + partner) % n_theta]
+            x[:, :, col] += np.conj(conj, out=conj)
     return x
 
 
@@ -159,10 +174,7 @@ def polar_to_cartesian(spectrum: PolarSpectrum, n: int, step: float = math.pi) -
     operator = _quarter_plane_operator(*key, 0.0)
     count = operator.shape[1] // n_sigma
     if n_theta % 2 == 0:
-        x = _rows(data, 0, count)
-        partner = _rows(data, n_theta // 2, count)
-        x += np.conj(partner, out=partner)
-        x = _apply(operator, x)
+        x = _apply(operator, _rows(data, 0, count, partner=n_theta // 2))
     else:
         shifted = _quarter_plane_operator(*key, 0.5)
         x = _apply(operator, _rows(data, 0, count))
@@ -179,7 +191,7 @@ def polar_to_cartesian(spectrum: PolarSpectrum, n: int, step: float = math.pi) -
     # k1 < 0 from k -> -k; past the zero -n/2 lines of an even n the mirror is a flip
     lo = 1 - n % 2
     rest = grid[lo:, lo:]
-    rest[:, : n // 2 - lo] = np.conj(rest[::-1, ::-1][:, : n // 2 - lo])
+    np.conj(rest[::-1, ::-1][:, : n // 2 - lo], out=rest[:, : n // 2 - lo])
     return grid
 
 
@@ -201,7 +213,7 @@ def spectrum_to_image(spectrum: PolarSpectrum, n: int) -> np.ndarray:
     half = n2 // 2
     # FFT order: m = 0 .. half - 1, then -half .. -1; column `half` is the
     # zero k1 = n2/2 line
-    phase = sfft.ifftshift(np.exp(1j * step * (np.arange(n2) - half) * x0))
+    phase = np.fft.ifftshift(np.exp(1j * step * (np.arange(n2) - half) * x0))
     spec = np.zeros((n2, half + 1), dtype=np.complex128)
     spec[:half, :half] = grid[half:, half:]
     spec[half:, :half] = grid[:half, half:]
@@ -210,8 +222,8 @@ def spectrum_to_image(spectrum: PolarSpectrum, n: int) -> np.ndarray:
     # unnormalized transforms; 1/n2^2 and the grid scale are applied apart,
     # which rounds as irfft2 over the whole grid does
     q0 = n // 2
-    rows = sfft.ifft(spec, axis=0, norm="forward", workers=get_workers())[q0 : q0 + n]
-    img = sfft.irfft(rows, n2, axis=1, norm="forward", workers=get_workers())[:, q0 : q0 + n]
+    rows = np.fft.ifft(spec, axis=0, norm="forward", out=spec)[q0 : q0 + n]
+    img = np.fft.irfft(rows, n2, axis=1, norm="forward")[:, q0 : q0 + n]
     img = np.ascontiguousarray(img)
     img *= 1.0 / (n2 * n2)
     img *= n2 * n2 * (step / (2.0 * math.pi)) ** 2

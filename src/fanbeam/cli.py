@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from . import __version__
-from ._threads import set_workers
 from .bst import bst_backproject
 from .core import FAN_SINOGRAMS, FanSinogram, GeometryError, ParallelSinogram, make_fan_geometry
 from .filtering import backproject, fbp_normalization, ramp_filter
@@ -187,7 +186,7 @@ def _cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fanbeam", description="Fan-beam backprojection toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--threads", type=_positive_int, default=None, help="cap internal FFT parallelism (default: machine parallelism; env TOMO_THREADS)")
+    parser.add_argument("--threads", type=_positive_int, default=None, help="ignored; accepted so that existing scripts keep working")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ph = sub.add_parser("phantom", help="rasterize a phantom or emit its analytic parallel sinogram")
@@ -238,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        set_workers(args.threads)
     try:
         return args.func(args)
     except InputError as exc:

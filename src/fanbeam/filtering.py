@@ -17,10 +17,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
-from ._threads import get_workers
-from .bst import bst_backproject
+from .bst import _fast_len, bst_backproject
 from .core import (
     FAN_SINOGRAMS,
     LINEAR,
@@ -73,12 +71,12 @@ def ramp_filter(p: ParallelSinogram, cutoff_fraction: float = 1.0) -> ParallelSi
         raise ValueError("cutoff_fraction must be in (0, 1]")
     n_t = p.n_t
     dt = 2.0 / (n_t - 1)
-    length = sfft.next_fast_len(2 * n_t, real=True)
+    length = _fast_len(2 * n_t)
     sigma = 2.0 * math.pi * np.arange(length // 2 + 1) / (length * dt)
     cutoff = cutoff_fraction * math.pi / dt
     mult = np.where(sigma <= cutoff, sigma, 0.0)
-    spec = sfft.rfft(p.data, n=length, axis=1, workers=get_workers())
-    filtered = sfft.irfft(spec * mult[None, :], n=length, axis=1, workers=get_workers())
+    spec = np.fft.rfft(p.data, n=length, axis=1)
+    filtered = np.fft.irfft(spec * mult[None, :], n=length, axis=1)
     return ParallelSinogram(filtered[:, :n_t], theta_span=p.theta_span)
 
 

@@ -14,9 +14,10 @@ endpoints for radial axes (t, gamma, s, image coordinates), the open
 upper bound for the half-open angular axes (theta, beta).
 
 Writers replace the target only once the whole file is written, so a
-failed write leaves an existing file intact.  Readers reject a header
-whose axes are not finite or whose dimensions disagree with the file
-size, and a payload holding NaN or infinity.
+failed write leaves an existing file intact.  Writers and readers both
+reject axes that are not finite and a payload holding NaN or infinity;
+readers also reject a header whose dimensions disagree with the file
+size.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ def write_grid(path, data: np.ndarray, axis0: tuple[float, float], axis1: tuple[
     data = np.ascontiguousarray(data, dtype="<f8")
     if data.ndim != 2:
         raise ValueError("grid payload must be 2-D")
+    # refused here as read_grid refuses them, before any file is created
+    if not all(map(math.isfinite, (*axis0, *axis1))):
+        raise ValueError(f"{path}: axis bounds hold non-finite values")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: payload holds non-finite values")
     rows, cols = data.shape
     header = _HEADER.pack(MAGIC, DTYPE_F64LE, rows, cols, axis0[0], axis0[1], axis1[0], axis1[1])
     # a temporary file beside the target, renamed over it once complete

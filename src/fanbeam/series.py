@@ -66,11 +66,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.special import gammaln
 
 from ._dc import restore_dc
-from ._threads import get_workers
 from .bst import _detector_spectrum, spectrum_to_image
 from .core import FanGeometry, ImageGrid, LinearFanSinogram, StandardFanSinogram
 from .rebinning import apply_tau, linear_to_standard, shear_to_theta
@@ -85,7 +82,7 @@ __all__ = [
 ]
 
 _RESCALE_EXP = 832  # columns near overflow are scaled by 2**-832, about 1e-250
-_ORDER_BLOCK = 256  # orders per block of the hat weights and of the kernel build
+_ORDER_BLOCK = 256  # orders per block of the hat weights, the kernel build and the table flush
 
 
 def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
@@ -107,7 +104,7 @@ def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
     block = 1024
     while True:
         ns = np.arange(n, n + block, dtype=np.float64)
-        logs = ns * math.log(x / 2.0) - gammaln(ns + 1.0)
+        logs = ns * math.log(x / 2.0) - np.fromiter(map(math.lgamma, ns + 1.0), np.float64, ns.size)
         hit = np.nonzero(logs < log_eps)[0]
         if hit.size:
             return max(int(ns[hit[0]]), nyquist, 1)
@@ -123,8 +120,9 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     are rescaled by 2**-832 whenever the running values approach
     overflow.  A stored row owes every rescale of its column after it was
     stored; each row records its column's rescale count when stored and
-    settles the difference at the end with one exact ``ldexp``.  Orders
-    whose true magnitude underflows come out as exact zeros.
+    settles the difference at the end with one exact ``ldexp``.  Values
+    below the smallest normal float, including orders whose true
+    magnitude underflows, come out as exact zeros.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros((n_terms, x.size))
@@ -163,7 +161,13 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     shift -= count
     shift *= _RESCALE_EXP
     np.ldexp(raw, shift, out=raw)
-    raw /= norm
+    # past the turning point the values decay through the subnormal range,
+    # and a matrix product slows many times over on subnormal operands
+    tiny = np.finfo(np.float64).tiny
+    for lo in range(0, n_terms, _ORDER_BLOCK):
+        rows = raw[lo : lo + _ORDER_BLOCK]
+        rows /= norm
+        rows[np.abs(rows) < tiny] = 0.0
     out[:, live] = raw
     return out
 
@@ -244,7 +248,7 @@ def _coefficient_blocks(Z: np.ndarray, gamma: np.ndarray, n_terms: int):
         # a full-circle grid in FFT order: the DFT gives the coefficients
         if 2 * n_terms > m:
             raise ValueError(f"n_terms={n_terms} exceeds half the padded grid ({m})")
-        spec = sfft.rfft(Z, axis=1, workers=get_workers())
+        spec = np.fft.rfft(Z, axis=1)
         yield 0, spec[:, :n_terms] * (2.0 * math.pi / m)
         return
     # a support grid: the exact coefficients of Z's linear interpolant, zero outside it;
@@ -302,16 +306,6 @@ def evaluate_series(b: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (table[: b.shape[0]].T @ pairs).view(np.complex128).T
 
 
-def _flushed(block: np.ndarray) -> np.ndarray:
-    """``block`` with its subnormal entries set to zero, in place.
-
-    Past the turning point the table decays through the subnormal range,
-    and a matrix product slows many times over on subnormal operands.
-    """
-    block[np.abs(block) < np.finfo(np.float64).tiny] = 0.0
-    return block
-
-
 @lru_cache(maxsize=8)
 def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) -> np.ndarray:
     """K[j, k], the truncated series of the j-th detector hat at sigma_k = k*pi.
@@ -333,18 +327,18 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_half_x = np.log(half_x)
         # the envelope (x/2)^n / n! at (x_max, n_terms), which choose_truncation holds below eps
-        log_floor = n_terms * log_half_x[-1] - gammaln(n_terms + 1.0)
+        log_floor = n_terms * log_half_x[-1] - math.lgamma(n_terms + 1.0)
     for lo in range(0, n_terms, _ORDER_BLOCK):
         hi = min(lo + _ORDER_BLOCK, n_terms)
         # band: column k skips the block when its envelope, decreasing in n
         # past x_k/2, is below the floor at n = lo; the envelope grows with
         # x, so the skipped columns are a prefix
         with np.errstate(invalid="ignore"):
-            below = (lo >= half_x) & (lo * log_half_x - gammaln(lo + 1.0) < log_floor)
+            below = (lo >= half_x) & (lo * log_half_x - math.lgamma(lo + 1.0) < log_floor)
         k0 = int(np.count_nonzero(below))
         even, odd = _real_fold(_hat_weights(lo, hi, gamma, h, n_gamma), lo)
-        re[:, k0:] += even @ _flushed(table[lo:hi:2, k0:])
-        im[:, k0:] += odd @ _flushed(table[lo + 1 : hi : 2, k0:])
+        re[:, k0:] += even @ table[lo:hi:2, k0:]
+        im[:, k0:] += odd @ table[lo + 1 : hi : 2, k0:]
     kernel = np.empty((n_gamma, n_sigma), dtype=np.complex128)
     kernel[:rows].real = re
     kernel[:rows].imag = im
@@ -363,7 +357,7 @@ def _series_image(z: StandardFanSinogram, source_sino, n: int, eps: float) -> Im
     S = (Z @ K.view(np.float64)).view(np.complex128)
     # q on t_j = -1 + 2j/n from its period-2 Fourier coefficients a_k = S_k / 2
     S[:, 1::2] *= -1.0
-    q = sfft.irfft(S, n, axis=1, norm="forward", workers=get_workers())
+    q = np.fft.irfft(S, n, axis=1, norm="forward")
     q *= 0.5
     # zero padded to 4n samples: 2n+1 radii spaced pi/4 up to sigma_max
     spec = _detector_spectrum(q, -1.0, 2.0 / n, 4 * n, sigma_max)

@@ -31,6 +31,13 @@ def random_ellipse_phantom(seed, count=5):
     return out
 
 
+def test_fast_len_matches_scipy():
+    # the FFT lengths fix the images bit for bit
+    from scipy.fft import next_fast_len
+
+    assert [bst._fast_len(m) for m in range(1, 5001)] == [next_fast_len(m, real=True) for m in range(1, 5001)]
+
+
 class TestBstBackproject:
     def test_unit_disk_is_radial_with_central_max(self):
         p = analytic_radon([Ellipse((0, 0), (1, 1))], 128, 128)

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,13 +18,18 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_process(*argv, timeout=120):
-    """Exit code of the CLI run in its own interpreter; a hang fails the test at ``timeout``."""
+def child_env():
+    """The environment of a child interpreter that imports this checkout's fanbeam."""
     env = dict(os.environ)
     src = str(Path(fanbeam.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_process(*argv, timeout=120):
+    """Exit code of the CLI run in its own interpreter; a hang fails the test at ``timeout``."""
     cmd = [sys.executable, "-m", "fanbeam.cli", *(str(a) for a in argv)]
-    return subprocess.run(cmd, env=env, capture_output=True, timeout=timeout).returncode
+    return subprocess.run(cmd, env=child_env(), capture_output=True, timeout=timeout).returncode
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +99,11 @@ class TestProjectCommand:
 
     def test_non_finite_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.grd"
-        write_grid(path, np.full((16, 16), np.nan), (0.0, math.pi), (-1.0, 1.0))
+        # write_grid refuses a NaN payload, so the file is patched after writing
+        write_grid(path, np.zeros((16, 16)), (0.0, math.pi), (-1.0, 1.0))
+        raw = bytearray(path.read_bytes())
+        raw[49:] = np.full(16 * 16, np.nan).tobytes()
+        path.write_bytes(bytes(raw))
         assert run("project", "--in", path, "--geometry", "linear", "--out", tmp_path / "g.grd") == 2
         assert "non-finite" in capsys.readouterr().err
 
@@ -148,10 +158,25 @@ class TestBackprojectCommand:
     def test_non_finite_beta_axis_exits_2(self, linear_file, tmp_path, capsys):
         grid = read_grid(linear_file)
         bad = tmp_path / "nan_beta.grd"
-        write_grid(bad, grid.data, (math.nan, math.nan), grid.axis1)
+        # write_grid refuses a NaN axis, so the header is patched after writing
+        write_grid(bad, grid.data, grid.axis0, grid.axis1)
+        raw = bytearray(bad.read_bytes())
+        raw[17:33] = struct.pack("<2d", math.nan, math.nan)
+        bad.write_bytes(bytes(raw))
         out = tmp_path / "x.grd"
         assert run("backproject", "--in", bad, "--geometry", "linear", "--n", 32, "--out", out) == 2
         assert "header axes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_image_exits_2(self, linear_file, tmp_path, monkeypatch, capsys):
+        # a route that returned NaN must not leave an image behind
+        from fanbeam import cli
+        from fanbeam.core import ImageGrid
+
+        monkeypatch.setattr(cli, "backproject", lambda sino, n, *args: ImageGrid(np.full((n, n), np.nan)))
+        out = tmp_path / "x.grd"
+        assert run("backproject", "--in", linear_file, "--geometry", "linear", "--n", 32, "--out", out) == 2
+        assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path):
@@ -183,17 +208,24 @@ class TestBackprojectCommand:
         assert rel_l2(read_grid(out).data, read_grid(truth).data) < 0.15
 
 
-def test_threads_flag_and_env(tmp_path, monkeypatch):
-    from fanbeam._threads import get_workers, set_workers
+def test_threads_flag_accepted_and_ignored(linear_file, tmp_path):
+    args = ("backproject", "--in", linear_file, "--geometry", "linear", "--n", 32, "--out")
+    plain, threads = tmp_path / "plain.grd", tmp_path / "threads.grd"
+    assert run(*args, plain) == 0
+    assert run("--threads", 2, *args, threads) == 0
+    assert plain.read_bytes() == threads.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        run("--threads", 0, *args, tmp_path / "x.grd")
+    assert exc.value.code == 2
 
-    monkeypatch.setenv("TOMO_THREADS", "3")
-    set_workers(None)
-    assert get_workers() == 3
-    out = tmp_path / "img.grd"
-    assert run("--threads", 1, "phantom", "--n", 16, "--out", out) == 0
-    assert get_workers() == 1
-    set_workers(None)
-    monkeypatch.delenv("TOMO_THREADS")
+
+def test_import_loads_no_scipy_fft_or_special():
+    # scipy.sparse loads later, when the resampling operator is first built
+    code = "import sys, fanbeam.cli; print(' '.join(sorted(sys.modules)))"
+    cmd = [sys.executable, "-c", code]
+    loaded = subprocess.run(cmd, env=child_env(), capture_output=True, text=True, check=True, timeout=120).stdout.split()
+    assert "fanbeam.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] in (["scipy", "fft"], ["scipy", "special"])]
 
 
 class TestBenchCommand:

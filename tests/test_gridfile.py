@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,12 +68,21 @@ def test_oversized_header_rejected(tmp_path):
         read_grid(path)
 
 
+def _patched(path, offset: int, value: float):
+    """A finite 3 x 4 grid at ``path`` with the float64 at byte ``offset`` set to ``value``.
+
+    write_grid refuses non-finite values, so the file is patched after it is written.
+    """
+    write_grid(path, np.zeros((3, 4)), (0.0, 1.0), (-1.0, 1.0))
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_payload_rejected(tmp_path, bad):
-    path = tmp_path / "nan.bin"
-    data = np.zeros((3, 4))
-    data[1, 2] = bad
-    write_grid(path, data, (0.0, 1.0), (0.0, 1.0))
+    path = _patched(tmp_path / "nan.bin", 49 + 8 * (1 * 4 + 2), bad)
     with pytest.raises(ValueError, match="non-finite"):
         read_grid(path)
 
@@ -79,12 +90,25 @@ def test_non_finite_payload_rejected(tmp_path, bad):
 @pytest.mark.parametrize("axis", range(4))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_header_axis_rejected(tmp_path, axis, bad):
-    path = tmp_path / "axis.bin"
-    axes = [0.0, 1.0, -1.0, 1.0]
-    axes[axis] = bad
-    write_grid(path, np.zeros((3, 4)), tuple(axes[:2]), tuple(axes[2:]))
+    path = _patched(tmp_path / "axis.bin", 17 + 8 * axis, bad)
     with pytest.raises(ValueError, match="header axes"):
         read_grid(path)
+
+
+@pytest.mark.parametrize("where", ["payload", 0, 1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_refuses_non_finite(tmp_path, where, bad):
+    # what read_grid would refuse is never written, not even as a partial file
+    data = np.ones((2, 2))
+    axes = [0.0, 1.0, -1.0, 1.0]
+    if where == "payload":
+        data[0, 1] = bad
+    else:
+        axes[where] = bad
+    path = tmp_path / "grid.bin"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_grid(path, data, tuple(axes[:2]), tuple(axes[2:]))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_keeps_existing_file(tmp_path, monkeypatch):
