@@ -22,8 +22,10 @@ The resampling is a sparse operator holding four bilinear weights for
 each Cartesian node of the quarter plane k1 >= 0, k2 >= 0.  Its weights
 depend only on the polar shape, sigma_max and the Cartesian grid, so it
 is built once and cached.  The same operator applied to the reflection
-theta -> -theta of the polar data gives the quadrant k2 < 0, and
-Hermitian symmetry gives the half plane k1 < 0.
+theta -> -theta of the polar data gives the quadrant k2 < 0; the half
+plane k1 < 0 is Hermitian symmetric to these and never formed.  The
+polar grid must hold an even number of angles, so that every theta + pi
+partner is a row.
 """
 
 from __future__ import annotations
@@ -86,16 +88,15 @@ def sinogram_polar_spectrum(q: ParallelSinogram, sigma_max: float) -> PolarSpect
 
 
 @functools.lru_cache(maxsize=2)
-def _quarter_plane_operator(n_theta: int, n_sigma: int, sigma_max: float, n: int, step: float, offset: float):
+def _quarter_plane_operator(n_theta: int, n_sigma: int, sigma_max: float, n: int, step: float):
     """CSR matrix of bilinear weights from polar rows to the quarter plane k1, k2 >= 0.
 
     Row a*q + b, q = n - n//2, is the node (k1, k2) = step*(b, a).  It
     holds four weights on the polar grid, or none beyond sigma_max, at
-    the angle index atan2(k2, k1)/dtheta + ``offset``.  Those angles span
-    only a quarter turn, so the columns index the first rows of a
-    (rows, n_sigma) grid, flattened; the caller supplies those rows, taken
-    periodically from any starting row.  At most 52 bytes per node: four
-    float64 weights, four int32 indices and a row pointer.
+    the angle index atan2(k2, k1)/dtheta.  Those angles span only a
+    quarter turn, so the columns index the first rows of a (rows,
+    n_sigma) grid, flattened.  At most 52 bytes per node: four float64
+    weights, four int32 indices and a row pointer.
     """
     from scipy import sparse
 
@@ -104,8 +105,8 @@ def _quarter_plane_operator(n_theta: int, n_sigma: int, sigma_max: float, n: int
     dsig = sigma_max / (n_sigma - 1)
     dth = 2.0 * math.pi / n_theta
     inside = (np.hypot(k[None, :], k[:, None]) / dsig <= n_sigma - 1.0 + _EDGE_TOL).ravel()
-    # angle indices stay below n_theta/4 + offset, so rows below n_theta//4 + 3
-    idx = np.int32 if max(4 * q * q, (n_theta // 4 + 3) * n_sigma) < 2**31 else np.int64
+    # angle indices stay at or below n_theta/4, so rows below n_theta//4 + 2
+    idx = np.int32 if max(4 * q * q, (n_theta // 4 + 2) * n_sigma) < 2**31 else np.int64
     indptr = np.zeros(q * q + 1, dtype=idx)
     np.cumsum(4 * inside, out=indptr[1:])
     indices = np.empty((int(indptr[-1]) // 4, 4), dtype=idx)
@@ -118,7 +119,7 @@ def _quarter_plane_operator(n_theta: int, n_sigma: int, sigma_max: float, n: int
         v = np.minimum(np.hypot(k1, k2) / dsig, n_sigma - 1.0)
         j0 = np.minimum(v.astype(np.intp), n_sigma - 2)
         fv = v - j0
-        u = np.arctan2(k2, k1) / dth + offset
+        u = np.arctan2(k2, k1) / dth
         i0 = u.astype(np.intp)
         fu = u - i0
         i1 = i0 + 1
@@ -130,22 +131,19 @@ def _quarter_plane_operator(n_theta: int, n_sigma: int, sigma_max: float, n: int
     return sparse.csr_array((weights.ravel(), indices.ravel(), indptr), shape=(q * q, n_rows * n_sigma))
 
 
-def _rows(data: np.ndarray, start: int, count: int, partner: int = 0) -> np.ndarray:
-    """Rows start + j of the polar data and, beside them, rows -start - j (mod n_theta).
+def _rows(data: np.ndarray, count: int) -> np.ndarray:
+    """Rows j of 2 P_sym = P + conj P(theta + pi) and, beside them, rows -j (mod n_theta).
 
-    The second column is the data reflected theta -> -theta: sampled at a
+    The second column is P_sym reflected theta -> -theta: sampled at a
     quarter-plane node it gives the mirrored node in the quadrant k2 < 0.
-    A nonzero ``partner`` adds to each row the conjugate of the row
-    ``partner`` further on, one column at a time.
     """
     n_theta = data.shape[0]
     j = np.arange(count)
     x = np.empty((count, data.shape[1], 2), dtype=np.complex128)
-    for col, rows in enumerate((start + j, -start - j)):
+    for col, rows in enumerate((j, -j)):
         x[:, :, col] = data[rows % n_theta]
-        if partner:
-            conj = data[(rows + partner) % n_theta]
-            x[:, :, col] += np.conj(conj, out=conj)
+        conj = data[(rows + n_theta // 2) % n_theta]
+        x[:, :, col] += np.conj(conj, out=conj)
     return x
 
 
@@ -155,44 +153,36 @@ def _apply(operator, x: np.ndarray) -> np.ndarray:
 
 
 def polar_to_cartesian(spectrum: PolarSpectrum, n: int, step: float = math.pi) -> np.ndarray:
-    """Resample a polar spectrum onto an n x n Cartesian frequency grid.
+    """Resample a polar spectrum onto the k1 >= 0 half of an n x n frequency grid.
 
-    The grid holds frequencies m*step for m in [-n//2, n - n//2), centred;
-    radii beyond sigma_max are zero filled.  The result is the bilinear
-    sample of P_sym = (P + conj P(theta + pi)) / 2, so it is Hermitian and
-    its inverse transform is real; for even n the unpartnered -n/2 lines
-    are zero.  A cached operator samples the quarter plane k1, k2 >= 0
-    from P_sym and from its reflection theta -> -theta, which gives the
-    quadrant k2 < 0; the half plane k1 < 0 is the conjugate mirror.  For
-    odd n_theta the theta + pi partners fall between rows, so a second
-    operator, offset by half a row, samples P there and the two samples
-    are averaged.
+    The result has shape (n, n//2 + 1), the layout an inverse real FFT
+    reads: column m1 holds k1 = m1*step, row m2 holds k2 = m2*step for
+    m2 < n - n//2 and (m2 - n)*step after that.  Radii beyond sigma_max
+    are zero filled, and for even n the unpartnered k = n/2 lines are
+    zero.  The values are the bilinear samples of P_sym = (P + conj P(theta
+    + pi)) / 2, so the whole plane they stand for is Hermitian and its
+    inverse transform is real.  A cached operator samples the quarter
+    plane k1, k2 >= 0 from P_sym and from its reflection theta -> -theta,
+    which gives the quadrant k2 < 0.  The polar grid must hold an even
+    number of angles, so that each row's theta + pi partner is a row.
     """
     data = spectrum.data
     n_theta, n_sigma = data.shape
-    key = (n_theta, n_sigma, spectrum.sigma_max, n, step)
-    operator = _quarter_plane_operator(*key, 0.0)
-    count = operator.shape[1] // n_sigma
-    if n_theta % 2 == 0:
-        x = _apply(operator, _rows(data, 0, count, partner=n_theta // 2))
-    else:
-        shifted = _quarter_plane_operator(*key, 0.5)
-        x = _apply(operator, _rows(data, 0, count))
-        x += np.conj(_apply(shifted, _rows(data, n_theta // 2, shifted.shape[1] // n_sigma)))
+    if n_theta % 2:
+        raise ValueError(f"polar resampling needs an even number of angles, got {n_theta}")
+    operator = _quarter_plane_operator(n_theta, n_sigma, spectrum.sigma_max, n, step)
+    x = _apply(operator, _rows(data, operator.shape[1] // n_sigma))
     x *= 0.5
     # the origin is its own mirror image, so its partner is the angle-0 row
     # itself, not the theta + pi row
     x[0] = data[0, 0].real
     q = n - n // 2
     quad = x.reshape(q, q, 2)
-    grid = np.zeros((n, n), dtype=np.complex128)
-    grid[n // 2 :, n // 2 :] = quad[:, :, 0]
-    grid[n // 2 - q + 1 : n // 2, n // 2 :] = quad[q - 1 : 0 : -1, :, 1]
-    # k1 < 0 from k -> -k; past the zero -n/2 lines of an even n the mirror is a flip
-    lo = 1 - n % 2
-    rest = grid[lo:, lo:]
-    np.conj(rest[::-1, ::-1][:, : n // 2 - lo], out=rest[:, : n // 2 - lo])
-    return grid
+    half = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    half[:q, :q] = quad[:, :, 0]
+    # k2 = -a in row n - a, for a = 1 .. q - 1; an even n leaves the -n/2 row zero
+    half[n - q + 1 :, :q] = quad[q - 1 : 0 : -1, :, 1]
+    return half
 
 
 def spectrum_to_image(spectrum: PolarSpectrum, n: int) -> np.ndarray:
@@ -201,22 +191,19 @@ def spectrum_to_image(spectrum: PolarSpectrum, n: int) -> np.ndarray:
     Synthesizes on a grid padded to _PAD_IMAGE times the image extent and
     crops, which keeps the periodization alias of slowly decaying
     backprojections away from the unit disk.  The spectrum is Hermitian,
-    so only its k1 >= 0 half is phased and inverted: a complex inverse
-    FFT along k2, then a real one along k1 on only the rows the crop
-    keeps.
+    so only its k1 >= 0 half is resampled, phased and inverted: a complex
+    inverse FFT along k2, then a real one along k1 on only the rows the
+    crop keeps.
     """
     n2 = _PAD_IMAGE * n
     h = 2.0 / n
     step = 2.0 * math.pi / (n2 * h)
-    grid = polar_to_cartesian(spectrum, n2, step=step)
+    spec = polar_to_cartesian(spectrum, n2, step=step)
     x0 = -1.0 + h / 2.0 - (n // 2) * h
     half = n2 // 2
     # FFT order: m = 0 .. half - 1, then -half .. -1; column `half` is the
     # zero k1 = n2/2 line
     phase = np.fft.ifftshift(np.exp(1j * step * (np.arange(n2) - half) * x0))
-    spec = np.zeros((n2, half + 1), dtype=np.complex128)
-    spec[:half, :half] = grid[half:, half:]
-    spec[half:, :half] = grid[:half, half:]
     spec *= phase[:, None]
     spec *= phase[None, : half + 1]
     # unnormalized transforms; 1/n2^2 and the grid scale are applied apart,

@@ -117,6 +117,8 @@ def _fan_from_grid(path, geometry: str) -> FanSinogram:
 
 
 def _cmd_backproject(args) -> int:
+    if args.profile_row is not None and not (0 <= args.profile_row < args.n):
+        raise InputError(f"profile row {args.profile_row} outside 0..{args.n - 1}")
     sino = _fan_from_grid(args.input, args.geometry)
     data = backproject(sino, args.n, args.method, args.eps).data
     if args.filtered:
@@ -125,8 +127,6 @@ def _cmd_backproject(args) -> int:
     if args.preview:
         write_pgm(args.preview, data)
     if args.profile_row is not None:
-        if not (0 <= args.profile_row < args.n):
-            raise InputError(f"profile row {args.profile_row} outside 0..{args.n - 1}")
         x1 = -1.0 + (2.0 * np.arange(args.n) + 1.0) / args.n
         out = args.profile_csv or (str(args.out) + ".profile.csv")
         with open(out, "w", newline="") as fh:

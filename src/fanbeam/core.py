@@ -124,9 +124,9 @@ class FanGeometry:
     """
 
     d: float
-    s_max: float = field(default=0.0)
-    gamma_max: float = field(default=0.0)
-    beta_span: float = field(default=0.0)
+    s_max: float = field(init=False)
+    gamma_max: float = field(init=False)
+    beta_span: float = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.d) and self.d > 1.0):

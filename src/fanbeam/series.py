@@ -62,6 +62,7 @@ table, with two savings:
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import lru_cache
 
@@ -99,16 +100,18 @@ def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
     if x == 0.0:
         return max(1, nyquist)
     log_eps = math.log(eps)
-    # envelope is increasing up to n ~ x/2 and strictly decreasing after
-    n = max(0, math.ceil(x / 2.0) - 1)
-    block = 1024
-    while True:
-        ns = np.arange(n, n + block, dtype=np.float64)
-        logs = ns * math.log(x / 2.0) - np.fromiter(map(math.lgamma, ns + 1.0), np.float64, ns.size)
-        hit = np.nonzero(logs < log_eps)[0]
-        if hit.size:
-            return max(int(ns[hit[0]]), nyquist, 1)
-        n += block
+    log_half = math.log(x / 2.0)
+
+    def above(n: int) -> bool:
+        return n * log_half - math.lgamma(n + 1.0) >= log_eps
+
+    # the envelope peaks at ceil(x/2) - 1 and decreases after it: bracket
+    # the first order below eps by doubling steps, then bisect the bracket
+    lo, step = max(0, math.ceil(x / 2.0) - 1), 1
+    while above(lo + step):
+        lo, step = lo + step, 2 * step
+    n = lo + bisect.bisect_left(range(lo, lo + step), True, key=lambda m: not above(m))
+    return max(n, nyquist, 1)
 
 
 def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.special import gammaln
 
 from fanbeam import (
     ImageGrid,
@@ -127,6 +128,23 @@ def polar_to_cartesian_full_plane(data, sigma_max, n, step):
     if n % 2 == 0:
         flipped = np.roll(np.roll(flipped, 1, axis=0), 1, axis=1)
     return 0.5 * (grid + np.conj(flipped))
+
+
+def truncation_scan(geom, sigma_max, eps):
+    """Series length by a scan of the envelope (x/2)^n / n! over every order.
+
+    One past the last order n whose envelope is at least eps, x =
+    D*sigma_max, but no fewer than the gamma Nyquist count or 1.  The
+    scan runs to 4x - log(eps) + 50, past which the envelope is below
+    e^-n and so below eps.
+    """
+    x = geom.d * sigma_max
+    nyquist = math.ceil(2.0 * geom.gamma_max * x / math.pi)
+    if x == 0.0:
+        return max(1, nyquist)
+    n = np.arange(math.ceil(4.0 * x - math.log(eps)) + 50, dtype=np.float64)
+    above = np.flatnonzero(n * math.log(x / 2.0) - gammaln(n + 1.0) >= math.log(eps))
+    return max(int(above[-1]) + 1 if above.size else 0, nyquist, 1)
 
 
 def bessel_power_series(order, x, terms=200):

@@ -79,25 +79,43 @@ class TestBstBackproject:
         assert img[m].mean() == pytest.approx(ref[m].mean(), rel=5e-3)
 
 
+def half_plane_k(n, step=1.0):
+    """(k1, k2) of every node of polar_to_cartesian's (n, n//2 + 1) half plane."""
+    m2 = np.arange(n)
+    m2 = np.where(m2 < n - n // 2, m2, m2 - n)
+    return np.meshgrid(step * np.arange(n // 2 + 1), step * m2, indexing="xy")
+
+
+def full_to_half(grid):
+    """The k1 >= 0 half of a centred n x n grid, in FFT row order."""
+    n = grid.shape[0]
+    return np.fft.ifftshift(grid)[:, : n // 2 + 1]
+
+
 class TestPolarToCartesian:
     def test_constant_spectrum_on_annulus(self):
         spec = PolarSpectrum(np.ones((64, 33), dtype=complex), sigma_max=16.0)
         grid = polar_to_cartesian(spec, 16, step=1.0)
-        m = np.arange(16) - 8
-        k1, k2 = np.meshgrid(m, m, indexing="xy")
+        assert grid.shape == (16, 9)
+        k1, k2 = half_plane_k(16)
         sigma = np.hypot(k1, k2)
-        annulus = (sigma > 0.5) & (sigma < 15.5) & (k1 > -8) & (k2 > -8)
+        # the k = n/2 lines hold no samples
+        annulus = (sigma > 0.5) & (sigma < 15.5) & (k1 < 8) & (k2 > -8)
         np.testing.assert_allclose(grid[annulus].real, 1.0, atol=1e-12)
         np.testing.assert_allclose(grid[sigma > 16.0], 0.0, atol=1e-14)
 
     def test_hermitian_symmetry_enforced(self):
+        # the k1 = 0 column is its own mirror: half[-m] == conj(half[m])
         rng = np.random.default_rng(21)
         data = rng.standard_normal((64, 33)) + 1j * rng.standard_normal((64, 33))
         spec = PolarSpectrum(data, sigma_max=20.0)
-        n = 24
-        grid = polar_to_cartesian(spec, n, step=1.0)
-        flipped = np.roll(np.roll(grid[::-1, ::-1], 1, axis=0), 1, axis=1)
-        np.testing.assert_allclose(grid, np.conj(flipped), atol=1e-12)
+        for n in (24, 25):
+            half = polar_to_cartesian(spec, n, step=1.0)
+            column = half[:, 0]
+            np.testing.assert_allclose(np.roll(column[::-1], 1), np.conj(column), atol=1e-12)
+            if n % 2 == 0:
+                assert np.all(half[n // 2] == 0.0)
+                assert np.all(half[:, n // 2] == 0.0)
 
     def test_ring_impulse_maps_to_cartesian_ring(self):
         n_sigma = 33
@@ -106,8 +124,7 @@ class TestPolarToCartesian:
         data[:, k0] = 1.0
         spec = PolarSpectrum(data, sigma_max=float(n_sigma - 1))
         grid = polar_to_cartesian(spec, 40, step=1.0)
-        m = np.arange(40) - 20
-        k1, k2 = np.meshgrid(m, m, indexing="xy")
+        k1, k2 = half_plane_k(40)
         sigma = np.hypot(k1, k2)
         # on-ring samples keep the impulse, samples a full bin away drop it
         on_ring = np.isclose(sigma, k0, atol=1e-9)
@@ -116,17 +133,43 @@ class TestPolarToCartesian:
         off_ring = (np.abs(sigma - k0) >= 1.0) & (sigma < n_sigma - 2)
         np.testing.assert_allclose(grid[off_ring], 0.0, atol=1e-9)
 
+    def test_odd_angle_count_rejected(self):
+        # a theta + pi partner must be a row of the polar grid
+        rng = np.random.default_rng(63)
+        with pytest.raises(ValueError, match="even number of angles"):
+            polar_to_cartesian(PolarSpectrum(np.ones((63, 33), dtype=complex), sigma_max=14.0), 24, step=1.0)
+        odd = ParallelSinogram(rng.standard_normal((63, 33)), theta_span=2 * math.pi)
+        with pytest.raises(ValueError, match="even number of angles"):
+            bst_backproject(odd, 32)
+
 
 class TestCachedResampling:
     @pytest.mark.parametrize("n", [24, 25])
-    @pytest.mark.parametrize("n_theta", [64, 63])
+    @pytest.mark.parametrize("n_theta", [64])
     def test_matches_full_plane_formula(self, n, n_theta):
         # the disk sigma <= 14 ends inside the grid, so its edge is sampled too
         rng = np.random.default_rng(1000 * n + n_theta)
         data = rng.standard_normal((n_theta, 33)) + 1j * rng.standard_normal((n_theta, 33))
-        ref = polar_to_cartesian_full_plane(data, 14.0, n, 1.0)
+        ref = full_to_half(polar_to_cartesian_full_plane(data, 14.0, n, 1.0))
         grid = polar_to_cartesian(PolarSpectrum(data, sigma_max=14.0), n, step=1.0)
         assert np.linalg.norm(grid - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [24, 25])
+    def test_spectrum_to_image_matches_full_plane_inverse(self, n):
+        # whole-plane reference: centred resampling, the same phase, a
+        # complex 2-D inverse FFT over the padded grid, then crop and scale
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((64, 4 * n)) + 1j * rng.standard_normal((64, 4 * n))
+        sigma_max = math.pi * n / 2
+        n2, h = 2 * n, 2.0 / n
+        step = 2 * math.pi / (n2 * h)
+        x0 = -1.0 + h / 2 - (n // 2) * h
+        phase = np.exp(1j * step * (np.arange(n2) - n2 // 2) * x0)
+        grid = polar_to_cartesian_full_plane(data, sigma_max, n2, step) * phase[:, None] * phase[None, :]
+        full = np.fft.ifft2(np.fft.ifftshift(grid)) * (n2 * step / (2 * math.pi)) ** 2
+        ref = full.real[n // 2 : n // 2 + n, n // 2 : n // 2 + n]
+        img = bst.spectrum_to_image(PolarSpectrum(data, sigma_max), n)
+        assert np.linalg.norm(img - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_second_call_with_same_shape_is_a_cache_hit(self):
         bst._quarter_plane_operator.cache_clear()

@@ -179,6 +179,17 @@ class TestBackprojectCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", [32, -1])
+    def test_profile_row_out_of_range_exits_2_before_writing(self, linear_file, tmp_path, capsys, row):
+        out = tmp_path / "x.grd"
+        preview = tmp_path / "x.pgm"
+        assert run("backproject", "--in", linear_file, "--geometry", "linear", "--n", 32,
+                   "--profile-row", row, "--out", out, "--preview", preview) == 2
+        assert "profile row" in capsys.readouterr().err
+        assert not out.exists()
+        assert not preview.exists()
+        assert not (tmp_path / "x.grd.profile.csv").exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run("backproject", "--in", tmp_path / "none.grd", "--geometry", "linear", "--n", 32,
                    "--out", tmp_path / "x.grd") == 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fanbeam import (
     LINEAR,
     STANDARD,
+    FanGeometry,
     GeometryError,
     ImageGrid,
     LinearFanSinogram,
@@ -48,6 +49,12 @@ class TestFanGeometry:
         # exactly as computed: the stored span is pi + 2*gamma_max
         assert geom.beta_span == math.pi + 2.0 * geom.gamma_max
         assert geom.s_max == pytest.approx(d / math.sqrt(d * d - 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("derived", ["s_max", "gamma_max", "beta_span"])
+    def test_derived_quantities_are_not_arguments(self, derived):
+        # the derived values follow from d alone; passing one is an error, not a silent overwrite
+        with pytest.raises(TypeError):
+            FanGeometry(10.0, **{derived: 1.0})
 
 
 class TestContainers:

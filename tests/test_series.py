@@ -39,6 +39,7 @@ from oracles import (
     interpolant_coefficients_quadrature,
     series_image_dense,
     series_image_two_step,
+    truncation_scan,
 )
 
 
@@ -65,6 +66,15 @@ class TestChooseTruncation:
             ns = np.arange(n, n + 500)
             bound = np.exp(ns * math.log(x / 2.0) - gammaln(ns + 1.0))
             assert (bound < eps).all()
+
+    @pytest.mark.parametrize("d", [1.05, 1.5, 3.0, 10.0, 50.0])
+    def test_matches_envelope_scan(self, d):
+        geom = make_fan_geometry(d)
+        for n in (*range(2, 65), 96, 128, 256):
+            for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+                assert choose_truncation(geom, math.pi * n / 2, eps) == truncation_scan(geom, math.pi * n / 2, eps)
+        for sigma_max in np.linspace(0.0, 3.0, 61):
+            assert choose_truncation(geom, sigma_max, 1e-9) == truncation_scan(geom, sigma_max, 1e-9)
 
     @given(st.floats(min_value=1e-12, max_value=1e-3), st.floats(min_value=0.0, max_value=30.0))
     @settings(max_examples=50, deadline=None)
