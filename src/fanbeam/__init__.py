@@ -40,8 +40,6 @@ from .rebinning import (
     apply_tau,
     linear_to_standard,
     linear_to_standard_adjoint,
-    sample_linear_fan,
-    sample_standard_fan,
     shear_to_theta,
 )
 from .reference import (
@@ -96,8 +94,6 @@ __all__ = [
     "apply_tau",
     "linear_to_standard",
     "linear_to_standard_adjoint",
-    "sample_linear_fan",
-    "sample_standard_fan",
     "shear_to_theta",
     "backproject_linear_fan",
     "backproject_parallel",

@@ -117,6 +117,8 @@ def _fan_from_grid(path, geometry: str) -> FanSinogram:
 
 
 def _cmd_backproject(args) -> int:
+    if args.profile_csv is not None and args.profile_row is None:
+        raise InputError("--profile-csv needs --profile-row")
     if args.profile_row is not None and not (0 <= args.profile_row < args.n):
         raise InputError(f"profile row {args.profile_row} outside 0..{args.n - 1}")
     sino = _fan_from_grid(args.input, args.geometry)

@@ -19,7 +19,13 @@ lands inside the window.  The adjoint outputs therefore live on
 theta in [0, 2*pi), and the parallel backprojection that consumes them
 integrates over the full circle without the evenness factor 2.
 
-The detector maps and Jacobians live in :class:`fanbeam.core.FanDetector`.
+Both fast routes read the fan data through the adjoint rebinning on a set
+of offsets: ``rebin-bst`` on t = linspace(-1, 1, n_t), the series route on
+t = D sin gamma, where (M* sino)(t, theta) / J_s(t) is the sheared field
+Z(gamma, theta): w(gamma, theta - gamma) for the standard detector and
+tau(gamma) g(D tan gamma, theta - gamma), tau = D sec^2 gamma, for the
+linear one.  The detector maps and Jacobians live in
+:class:`fanbeam.core.FanDetector`.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 
 import numpy as np
 
-from ._interp import bilinear
+from ._interp import bilinear, interp_or_zero
 from .core import FanSinogram, LinearFanSinogram, ParallelSinogram, StandardFanSinogram
 
 __all__ = [
@@ -39,9 +45,11 @@ __all__ = [
     "linear_to_standard_adjoint",
     "apply_tau",
     "shear_to_theta",
-    "sample_standard_fan",
-    "sample_linear_fan",
 ]
+
+# theta rows per block of the adjoint rebinning; bounds the sampler's
+# temporaries to a few MB whatever the grid size
+_THETA_BLOCK = 128
 
 
 class FanSampler:
@@ -83,36 +91,31 @@ class FanSampler:
         return bilinear(self.ext, beta / self.dbeta, (det + self.half_width) / self.ddet)
 
 
-def sample_standard_fan(w: StandardFanSinogram, gamma, beta):
-    """w at scattered (gamma, beta), beta anywhere on the circle."""
-    return FanSampler(w).sample(gamma, beta)
-
-
-def sample_linear_fan(g: LinearFanSinogram, s, beta):
-    """g at scattered (s, beta), beta anywhere on the circle."""
-    return FanSampler(g).sample(s, beta)
-
-
-def _adjoint_rebin(sino: FanSinogram, n_t: int, n_theta2pi: int) -> ParallelSinogram:
-    if n_t < 2 or n_theta2pi < 2:
+def _adjoint_rebin(sino: FanSinogram, t: np.ndarray, n_theta2pi: int, scale=1.0) -> np.ndarray:
+    """(M* sino)(t_j, theta_i) * scale_j, shape (n_theta2pi, t.size), theta_i = 2*pi*i/n_theta2pi."""
+    if t.size < 2 or n_theta2pi < 2:
         raise ValueError("need n_t >= 2 and n_theta2pi >= 2")
     d = sino.geometry.d
-    t = np.linspace(-1.0, 1.0, n_t)
+    gamma = np.arcsin(t / d)  # fan angle of the ray at offset t, either detector
+    det = sino.detector.det_of_t(t, d)
+    weight = sino.detector.jacobian(t, d) * scale
     theta = 2.0 * math.pi * np.arange(n_theta2pi) / n_theta2pi
-    gamma = np.arcsin(t / d)[None, :]  # fan angle of the ray at offset t, either detector
-    det = sino.detector.det_of_t(t, d)[None, :]
-    vals = FanSampler(sino).sample(det, theta[:, None] - gamma)
-    return ParallelSinogram(vals * sino.detector.jacobian(t, d)[None, :], theta_span=2.0 * math.pi)
+    sampler = FanSampler(sino)
+    out = np.empty((n_theta2pi, t.size))
+    for lo in range(0, n_theta2pi, _THETA_BLOCK):
+        rows = slice(lo, lo + _THETA_BLOCK)
+        np.multiply(sampler.sample(det, theta[rows, None] - gamma), weight, out=out[rows])
+    return out
 
 
 def adjoint_rebin_standard(w: StandardFanSinogram, n_t: int, n_theta2pi: int) -> ParallelSinogram:
     """M_s* : standard fan sinogram -> parallel sinogram on [0, 2*pi)."""
-    return _adjoint_rebin(w, n_t, n_theta2pi)
+    return ParallelSinogram(_adjoint_rebin(w, np.linspace(-1.0, 1.0, n_t), n_theta2pi), theta_span=2.0 * math.pi)
 
 
 def adjoint_rebin_linear(g: LinearFanSinogram, n_t: int, n_theta2pi: int) -> ParallelSinogram:
     """M_l* : linear fan sinogram -> parallel sinogram on [0, 2*pi)."""
-    return _adjoint_rebin(g, n_t, n_theta2pi)
+    return ParallelSinogram(_adjoint_rebin(g, np.linspace(-1.0, 1.0, n_t), n_theta2pi), theta_span=2.0 * math.pi)
 
 
 def linear_to_standard(g: LinearFanSinogram, n_gamma: int) -> StandardFanSinogram:
@@ -124,12 +127,8 @@ def linear_to_standard(g: LinearFanSinogram, n_gamma: int) -> StandardFanSinogra
     if n_gamma < 2:
         raise ValueError("need n_gamma >= 2")
     geom = g.geometry
-    gamma = np.linspace(-geom.gamma_max, geom.gamma_max, n_gamma)
-    s = geom.d * np.tan(gamma)
-    ds = 2.0 * geom.s_max / (g.n_s - 1)
-    v = (s + geom.s_max) / ds
-    rows = np.arange(g.n_beta, dtype=np.float64)[:, None]
-    data = bilinear(g.data, np.broadcast_to(rows, (g.n_beta, n_gamma)), np.broadcast_to(v, (g.n_beta, n_gamma)))
+    s = geom.d * np.tan(np.linspace(-geom.gamma_max, geom.gamma_max, n_gamma))
+    data = interp_or_zero(s, -geom.s_max, 2.0 * geom.s_max / (g.n_s - 1), g.data)
     return StandardFanSinogram(data, geom)
 
 
@@ -144,10 +143,7 @@ def linear_to_standard_adjoint(w: StandardFanSinogram, n_s: int) -> LinearFanSin
     s = np.linspace(-geom.s_max, geom.s_max, n_s)
     gamma = np.arctan(s / geom.d)
     jac = geom.d / (geom.d**2 + s**2)
-    dgamma = 2.0 * geom.gamma_max / (w.n_gamma - 1)
-    v = (gamma + geom.gamma_max) / dgamma
-    rows = np.arange(w.n_beta, dtype=np.float64)[:, None]
-    data = bilinear(w.data, np.broadcast_to(rows, (w.n_beta, n_s)), np.broadcast_to(v, (w.n_beta, n_s)))
+    data = interp_or_zero(gamma, -geom.gamma_max, 2.0 * geom.gamma_max / (w.n_gamma - 1), w.data)
     return LinearFanSinogram(data * jac[None, :], geom)
 
 
@@ -158,16 +154,15 @@ def apply_tau(w: StandardFanSinogram) -> StandardFanSinogram:
     return StandardFanSinogram(w.data * tau[None, :], geom)
 
 
-def shear_to_theta(z: StandardFanSinogram, n_theta2pi: int) -> np.ndarray:
-    """Shear the source angle into the parallel angle: Z(gamma, theta) = z(gamma, theta - gamma).
+def shear_to_theta(sino: FanSinogram, n_theta2pi: int) -> np.ndarray:
+    """Sheared field Z(gamma, theta) of either fan sinogram, shape (n_theta2pi, n_det).
 
-    Returns an array of shape (n_theta2pi, n_gamma) on the grid
-    [0, 2*pi) x [-gamma_max, gamma_max]; each gamma column is shifted
-    along beta with 1-D linear interpolation, the fan symmetry supplying
-    the values beyond the measured window.
+    The adjoint rebinning at t_j = D sin gamma_j divided by J_s(t_j), on
+    theta in [0, 2*pi) and gamma_j = linspace(-gamma_max, gamma_max, n_det):
+    w(gamma, theta - gamma) for a standard sinogram w, and
+    tau(gamma) g(D tan gamma, theta - gamma), tau = D sec^2 gamma, for a
+    linear sinogram g.
     """
-    if n_theta2pi < 2:
-        raise ValueError("need n_theta2pi >= 2")
-    theta = 2.0 * math.pi * np.arange(n_theta2pi) / n_theta2pi
-    gamma = z.gamma_grid
-    return FanSampler(z).sample(gamma[None, :], theta[:, None] - gamma[None, :])
+    geom = sino.geometry
+    t = geom.d * np.sin(np.linspace(-geom.gamma_max, geom.gamma_max, sino.n_det))
+    return _adjoint_rebin(sino, t, n_theta2pi, np.sqrt(geom.d**2 - t**2))

@@ -1,8 +1,8 @@
 """Fan-beam backprojection as a Bessel-Neumann series in the polar
 frequency domain.
 
-For a standard fan sinogram w, the sheared field
-Z(gamma, theta) = w(gamma, theta - gamma) is 2*pi-periodic in gamma with
+For a fan sinogram of either detector, the sheared field Z(gamma, theta)
+of :func:`fanbeam.rebinning.shear_to_theta` is 2*pi-periodic in gamma with
 Fourier coefficients c_n(theta), and the detector-direction spectrum of
 the adjoint-rebinned sinogram collapses to
 
@@ -10,9 +10,7 @@ the adjoint-rebinned sinogram collapses to
                        = sum_n b_n(theta) J_n(D sigma)
 
 with b_0 = 2*pi c_0 and b_n = 2*pi (c_n + (-1)^n c_{-n}) for n >= 1
-(Jacobi-Anger expansion folded with J_{-n} = (-1)^n J_n).  The
-flat-detector case reduces to the equiangular one through the geometry
-switch L and the weight tau = D sec^2 gamma.
+(Jacobi-Anger expansion folded with J_{-n} = (-1)^n J_n).
 
 qhat is the detector spectrum of a field q(t, theta) supported on
 t in [-1, 1], so its samples at sigma = k*pi fix it: they are q's
@@ -70,8 +68,8 @@ import numpy as np
 
 from ._dc import restore_dc
 from .bst import _detector_spectrum, spectrum_to_image
-from .core import FanGeometry, ImageGrid, LinearFanSinogram, StandardFanSinogram
-from .rebinning import apply_tau, linear_to_standard, shear_to_theta
+from .core import FanGeometry, FanSinogram, ImageGrid, LinearFanSinogram, StandardFanSinogram
+from .rebinning import shear_to_theta
 
 __all__ = [
     "choose_truncation",
@@ -350,12 +348,12 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
     return kernel
 
 
-def _series_image(z: StandardFanSinogram, source_sino, n: int, eps: float) -> ImageGrid:
-    geom = z.geometry
+def _series_image(sino: FanSinogram, n: int, eps: float) -> ImageGrid:
+    geom = sino.geometry
     sigma_max = math.pi * n / 2.0
     n_terms = choose_truncation(geom, sigma_max, eps)
-    Z = shear_to_theta(z, 2 * z.n_beta)
-    K = _series_kernel(geom, n_terms, n // 2 + 1, z.n_gamma)
+    Z = shear_to_theta(sino, 2 * sino.n_beta)
+    K = _series_kernel(geom, n_terms, n // 2 + 1, sino.n_det)
     # S = Z K as one real GEMM against the interleaved real and imaginary parts of K
     S = (Z @ K.view(np.float64)).view(np.complex128)
     # q on t_j = -1 + 2j/n from its period-2 Fourier coefficients a_k = S_k / 2
@@ -365,19 +363,17 @@ def _series_image(z: StandardFanSinogram, source_sino, n: int, eps: float) -> Im
     # zero padded to 4n samples: 2n+1 radii spaced pi/4 up to sigma_max
     spec = _detector_spectrum(q, -1.0, 2.0 / n, 4 * n, sigma_max)
     img = spectrum_to_image(spec, n)
-    return ImageGrid(restore_dc(img, source_sino))
+    return ImageGrid(restore_dc(img, sino))
 
 
 def standard_fan_backproject(w: StandardFanSinogram, n: int, eps: float = 1e-9) -> ImageGrid:
     """Series backprojection of an equiangular fan sinogram."""
-    return _series_image(w, w, n, eps)
+    return _series_image(w, n, eps)
 
 
 def linear_fan_backproject(g: LinearFanSinogram, n: int, eps: float = 1e-9) -> ImageGrid:
     """Series backprojection of a flat-detector fan sinogram.
 
-    Two steps: switch to the equiangular parametrization (L, then the
-    tau = D sec^2 gamma weight), then the standard series route.
+    The equiangular route, with the sheared field tau(gamma) g(D tan gamma, theta - gamma).
     """
-    z = apply_tau(linear_to_standard(g, g.n_s))
-    return _series_image(z, g, n, eps)
+    return _series_image(g, n, eps)

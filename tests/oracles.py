@@ -228,46 +228,47 @@ def bessel_matrix_rescale_loop(x, n_terms):
     return out
 
 
-def series_image_dense(z, source, n, eps=1e-9):
+def series_image_dense(sino, n, eps=1e-9):
     """Series backprojection with the series summed on every radius of the polar grid.
 
     The reference for the evaluation grid of the series route, built from
     the package's own stages: the complex weights b of the sheared field
     Z, one dense product J^T b on the 2n+1 radii k*pi/4 up to pi*n/2, the
     4*pi/sigma weight with the DC bin zeroed, the polar inverse transform
-    and the DC restoration.  ``z`` is an equiangular fan sinogram,
-    ``source`` the sinogram whose mass sets the DC.
+    and the DC restoration, for a fan sinogram of either detector.
     """
-    geom = z.geometry
+    geom = sino.geometry
     sigma_max = math.pi * n / 2.0
     sigma = np.linspace(0.0, sigma_max, 2 * n + 1)
     n_terms = choose_truncation(geom, sigma_max, eps)
-    Z = shear_to_theta(z, 2 * z.n_beta)
-    b = fourier_coefficients_gamma(Z, z.gamma_grid, n_terms)
+    Z = shear_to_theta(sino, 2 * sino.n_beta)
+    gamma = np.linspace(-geom.gamma_max, geom.gamma_max, sino.n_det)
+    b = fourier_coefficients_gamma(Z, gamma, n_terms)
     values = bessel_table(geom, n_terms, sigma)
     series = (values.T @ b.real).T + 1j * (values.T @ b.imag).T
     spec = np.zeros_like(series)
     spec[:, 1:] = 4.0 * math.pi / sigma[1:][None, :] * series[:, 1:]
-    return restore_dc(spectrum_to_image(PolarSpectrum(spec, sigma_max), n), source)
+    return restore_dc(spectrum_to_image(PolarSpectrum(spec, sigma_max), n), sino)
 
 
-def series_image_two_step(z, source, n, eps=1e-9):
+def series_image_two_step(sino, n, eps=1e-9):
     """Series backprojection with the weights b computed from the data on every call.
 
     The reference for the series route's cached kernel: the weights of
     the sheared field Z, the truncated series summed against a Bessel
     table on sigma_k = k*pi, then the route's own back end (the period-2
     synthesis of q, the detector FFT to 4n samples, the polar inverse
-    transform and the DC restoration).  ``z`` is an equiangular fan
-    sinogram, ``source`` the sinogram whose mass sets the DC.
+    transform and the DC restoration), for a fan sinogram of either
+    detector.
     """
-    geom = z.geometry
+    geom = sino.geometry
     sigma_max = math.pi * n / 2.0
     n_terms = choose_truncation(geom, sigma_max, eps)
     table = bessel_table(geom, n_terms, math.pi * np.arange(n // 2 + 1))
-    Z = shear_to_theta(z, 2 * z.n_beta)
-    S = evaluate_series(fourier_coefficients_gamma(Z, z.gamma_grid, n_terms), table)
+    Z = shear_to_theta(sino, 2 * sino.n_beta)
+    gamma = np.linspace(-geom.gamma_max, geom.gamma_max, sino.n_det)
+    S = evaluate_series(fourier_coefficients_gamma(Z, gamma, n_terms), table)
     S[:, 1::2] *= -1.0
     q = 0.5 * sfft.irfft(S, n, axis=1, norm="forward")
     spec = _detector_spectrum(q, -1.0, 2.0 / n, 4 * n, sigma_max)
-    return ImageGrid(restore_dc(spectrum_to_image(spec, n), source))
+    return ImageGrid(restore_dc(spectrum_to_image(spec, n), sino))

@@ -36,9 +36,7 @@ from fanbeam import (
     rasterize,
     rebin_to_linear,
     rebin_to_standard,
-    sample_linear_fan,
     sample_parallel,
-    sample_standard_fan,
     shear_to_theta,
     shepp_logan_ellipses,
     standard_fan_backproject,
@@ -271,14 +269,14 @@ def test_criterion_8_symmetry_suites():
     G, B = np.meshgrid(w.gamma_grid, w.beta_grid, indexing="xy")
     partner = B + 2 * G + math.pi
     inside = partner < geom.beta_span - 1e-9
-    vals = sample_standard_fan(w, -G[inside], partner[inside])
+    vals = FanSampler(w).sample(-G[inside], partner[inside])
     rms_standard = float(np.sqrt(np.mean((vals - w.data[inside]) ** 2)) / np.abs(w.data).max())
 
     g = rebin_to_linear(p, geom, n, n)
     S, B = np.meshgrid(g.s_grid, g.beta_grid, indexing="xy")
     partner = B + 2 * np.arctan(S / geom.d) + math.pi
     inside = partner < geom.beta_span - 1e-9
-    vals = sample_linear_fan(g, -S[inside], partner[inside])
+    vals = FanSampler(g).sample(-S[inside], partner[inside])
     rms_linear = float(np.sqrt(np.mean((vals - g.data[inside]) ** 2)) / np.abs(g.data).max())
 
     ok = evenness < 1e-12 and rms_standard < 1e-3 and rms_linear < 1e-3

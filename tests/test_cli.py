@@ -190,6 +190,14 @@ class TestBackprojectCommand:
         assert not preview.exists()
         assert not (tmp_path / "x.grd.profile.csv").exists()
 
+    def test_profile_csv_without_row_exits_2_before_reading(self, tmp_path, capsys):
+        # the input does not exist: the option check must come first
+        csv_path = tmp_path / "prof.csv"
+        assert run("backproject", "--in", tmp_path / "none.grd", "--geometry", "linear", "--n", 32,
+                   "--profile-csv", csv_path, "--out", tmp_path / "x.grd") == 2
+        assert "--profile-row" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run("backproject", "--in", tmp_path / "none.grd", "--geometry", "linear", "--n", 32,
                    "--out", tmp_path / "x.grd") == 2

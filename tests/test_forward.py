@@ -87,14 +87,14 @@ def test_round_trip_through_linear_geometry(geom):
 
 @pytest.mark.parametrize("n", [256, 512])
 def test_fan_symmetry_on_rebinned_data(geom, phantom, n):
-    from fanbeam import sample_linear_fan, sample_standard_fan
+    from fanbeam import FanSampler
 
     p = analytic_radon(phantom, n, n)
     w = rebin_to_standard(p, geom, n, n)
     G, B = np.meshgrid(w.gamma_grid, w.beta_grid, indexing="xy")
     partner_beta = B + 2 * G + math.pi
     inside = partner_beta < geom.beta_span - 1e-9
-    vals = sample_standard_fan(w, -G[inside], partner_beta[inside])
+    vals = FanSampler(w).sample(-G[inside], partner_beta[inside])
     rms = np.sqrt(np.mean((vals - w.data[inside]) ** 2)) / np.abs(w.data).max()
     assert rms < 1e-3
 
@@ -102,7 +102,7 @@ def test_fan_symmetry_on_rebinned_data(geom, phantom, n):
     S, B = np.meshgrid(g.s_grid, g.beta_grid, indexing="xy")
     partner_beta = B + 2 * np.arctan(S / geom.d) + math.pi
     inside = partner_beta < geom.beta_span - 1e-9
-    vals = sample_linear_fan(g, -S[inside], partner_beta[inside])
+    vals = FanSampler(g).sample(-S[inside], partner_beta[inside])
     rms = np.sqrt(np.mean((vals - g.data[inside]) ** 2)) / np.abs(g.data).max()
     assert rms < 1e-3
 

@@ -6,6 +6,7 @@ import pytest
 from fanbeam import (
     LINEAR,
     STANDARD,
+    FanSampler,
     LinearFanSinogram,
     StandardFanSinogram,
     adjoint_rebin_linear,
@@ -13,7 +14,6 @@ from fanbeam import (
     apply_tau,
     linear_to_standard,
     linear_to_standard_adjoint,
-    sample_standard_fan,
     shear_to_theta,
 )
 from fanbeam._interp import bilinear
@@ -52,7 +52,7 @@ class TestAdjointRebin:
         q = adjoint_rebin_standard(standard128, 129, 2 * standard128.n_beta)
         theta = q.theta_grid
         inside = theta < geom.beta_span
-        expected = sample_standard_fan(standard128, np.zeros(inside.sum()), theta[inside])
+        expected = FanSampler(standard128).sample(np.zeros(inside.sum()), theta[inside])
         np.testing.assert_allclose(q.data[inside, 64], expected / geom.d, atol=1e-10)
 
     def test_inverse_map_times_jacobian_structure(self, geom, standard128):
@@ -151,6 +151,23 @@ class TestShear:
         expected[k] = 1.0 - frac * dtheta / dbeta
         expected[k + 1] = 1.0 - (1 - frac) * dtheta / dbeta
         np.testing.assert_allclose(Z[k : k + 2, j0], expected[k : k + 2], atol=1e-12)
+
+    def test_linear_shear_matches_geometry_switch(self, geom):
+        # the linear field reads g directly; it must equal the composition
+        # L, tau, then the standard shear, except where either reads the
+        # last beta cell, whose wrap rows differ (g's versus tau L g's)
+        rng = np.random.default_rng(11)
+        n_beta, n_s, n2 = 64, 45, 256
+        g = LinearFanSinogram(rng.standard_normal((n_beta, n_s)), geom)
+        Z = shear_to_theta(g, n2)
+        ref = shear_to_theta(apply_tau(linear_to_standard(g, n_s)), n2)
+        gamma = np.linspace(-geom.gamma_max, geom.gamma_max, n_s)
+        theta = 2 * math.pi * np.arange(n2) / n2
+        beta = np.mod(theta[:, None] - gamma[None, :], 2 * math.pi)
+        read = np.where(beta > geom.beta_span, beta + 2 * gamma - math.pi, beta)
+        keep = read < geom.beta_span * (n_beta - 1) / n_beta - 1e-9
+        assert keep.mean() > 0.9
+        np.testing.assert_allclose(Z[keep], ref[keep], rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 class TestAdjointDotProducts:
