@@ -205,8 +205,9 @@ class FanSinogram:
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 2:
-            raise ValueError(f"fan data must be (n_beta>=1, n_det>=2), got {d.shape}")
+        # the beta interpolation reads the row after each sample, wrapping round
+        if d.ndim != 2 or d.shape[0] < 2 or d.shape[1] < 2:
+            raise ValueError(f"fan data must be (n_beta>=2, n_det>=2), got {d.shape}")
         object.__setattr__(self, "data", _freeze(d))
 
     @property

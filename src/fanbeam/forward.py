@@ -45,8 +45,8 @@ def _rebin_to_fan(
     p: ParallelSinogram, geom: FanGeometry, sinogram: type[FanSinogram], n_det: int, n_beta: int
 ) -> FanSinogram:
     """Resample p onto the fan grid of the ``sinogram`` type (bilinear interpolation)."""
-    if n_det < 2 or n_beta < 1:
-        raise ValueError("need n_det >= 2 and n_beta >= 1")
+    if n_det < 2 or n_beta < 2:
+        raise ValueError(f"need n_det >= 2 and n_beta >= 2, got n_det={n_det} and n_beta={n_beta}")
     detector = sinogram.detector
     h = detector.half_width(geom)
     det = np.linspace(-h, h, n_det)

@@ -23,12 +23,14 @@ samples, which gives the 2n+1 radii spaced pi/4 up to sigma_max = pi*n/2,
 the 1/sigma weight, the cached polar-to-Cartesian resampling and the
 inverse FFT.  The route never forms the rebinned parallel sinogram.
 
-The table of Bessel values J_n(D sigma_k) is one array, row n holding
-order n, from a downward (Miller) recurrence; the weights b_n are one
-complex array, row n holding order n.  For a real Z, b_n is real for
-even n and purely imaginary for odd n, so the kernel build below splits
-the orders by parity and reads the table's even and odd rows as strided
-views: one real matrix product per parity.
+The Bessel values J_n(D sigma_k) come from one downward (Miller)
+recurrence, run in blocks of 256 orders: :func:`bessel_table` stacks the
+blocks into a table, row n holding order n, and the kernel build below
+multiplies each block into its result as soon as it is complete.  The
+weights b_n are one complex array, row n holding order n.  For a real Z,
+b_n is real for even n and purely imaginary for odd n, so the build
+splits the orders by parity: one real matrix product per parity and
+block.
 
 The weights b_n are linear in Z, and Z enters only through its samples
 on the detector grid gamma_j, so the series reassociates: S = Z K with
@@ -46,10 +48,18 @@ coefficients of Z's linear interpolant on a support grid.
 The route builds K once per (geometry, n_terms, n//2+1, n_gamma) and
 caches it; a warm op is one real GEMM of Z against K's interleaved real
 and imaginary parts, with no Fourier coefficients and no Bessel table.
-The build calls no FFT.  It runs over blocks of 256 orders, folding the
-closed-form weights by parity and multiplying them into K against the
-table, with two savings:
+The build calls no FFT and forms no table.  It runs the recurrence down
+from above the truncation order, and each time a block of orders is
+complete it multiplies the block into K's accumulators against the
+hats' weights of those orders, which come by angle addition from one
+table of cos(r gamma_j) and sin(r gamma_j), r < 256, per build:
 
+* scale: K is linear in the table, so when the recurrence rescales a
+  column by 2**-832, the column's accumulated sum is rescaled with it,
+  and the rows of a block stored before the rescale are settled to the
+  new scale (values below the smallest normal float flushed to zero);
+  the normalisation J_0 + 2*sum J_{2k} divides each column once, at the
+  end;
 * band: column k skips an order block once the envelope
   (x_k/2)^n / n!, x_k = D sigma_k, lies below its value at
   (x_max, n_terms) for every order of the block, which the truncation
@@ -112,18 +122,80 @@ def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
     return max(n, nyquist, 1)
 
 
-def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
-    """J_n(x) for n = 0..n_terms-1 by normalized downward recurrence.
+def _miller_blocks(x: np.ndarray, n_terms: int):
+    """Downward (Miller) recurrence for J_n(x), x > 0, over blocks of orders.
 
     The recurrence starts well above both the requested orders and the
     turning point n ~ x, where J_n has decayed far below working
-    precision, and is normalized with J_0 + 2*sum J_{2k} = 1.  Columns
-    are rescaled by 2**-832 whenever the running values approach
-    overflow.  A stored row owes every rescale of its column after it was
-    stored; each row records its column's rescale count when stored and
-    settles the difference at the end with one exact ``ldexp``.  Values
-    below the smallest normal float, including orders whose true
-    magnitude underflows, come out as exact zeros.
+    precision, and runs down in place through a buffer of
+    _ORDER_BLOCK + 2 rows, row i holding order lo + i of the block.  A
+    column is rescaled by 2**-832, with its partial normalisation sum
+    J_0 + 2*sum J_{2k}, whenever its running values approach overflow.
+
+    Yields (lo, raw, shift, count, norm) for the blocks of orders
+    n = lo..hi-1, hi <= n_terms, from the top down: raw[i] holds the
+    unnormalised J_{lo+i} of each column as scaled when shift[i] rescales
+    had been applied to it, count the rescales of each column so far, so
+    that row i owes 2**(-832 * (count - shift[i])), and norm the
+    normalisation sum, complete at the last block (lo = 0).  The recurrence
+    goes on to overwrite all four arrays.
+    """
+    top = max(n_terms, math.ceil(float(x.max())))
+    n_start = top + max(50, top // 5)
+    rows = np.zeros((_ORDER_BLOCK + 2, x.size))
+    row = list(rows)
+    shift = np.zeros((_ORDER_BLOCK + 2, x.size), dtype=np.int32)
+    norm = np.zeros(x.size)
+    count = np.zeros(x.size, dtype=np.int32)  # rescales of each column so far
+    coef = np.empty((_ORDER_BLOCK + 1, x.size))
+    mag = np.empty(x.size)
+    big = np.empty(x.size, dtype=bool)
+    inv = 2.0**-_RESCALE_EXP
+    lo = n_start - n_start % _ORDER_BLOCK
+    rows[n_start - lo] = 1e-30  # J_{n_start} seed, J_{n_start+1} = 0
+    np.divide(2.0 * np.arange(lo, lo + _ORDER_BLOCK + 1, dtype=np.float64)[:, None], x, out=coef)
+    for n in range(n_start, -1, -1):
+        i = n - lo
+        if n == 0:
+            norm += row[i]
+        elif n % 2 == 0:
+            norm += 2.0 * row[i]
+        if i == 0:
+            shift[0] = count
+            if lo < n_terms:
+                width = min(_ORDER_BLOCK, n_terms - lo)
+                yield lo, rows[:width], shift[:width], count, norm
+            if n == 0:
+                return
+            # the two orders the next block down starts from
+            rows[_ORDER_BLOCK:] = rows[:2]
+            lo -= _ORDER_BLOCK
+            i = _ORDER_BLOCK
+            np.divide(2.0 * np.arange(lo, lo + _ORDER_BLOCK + 1, dtype=np.float64)[:, None], x, out=coef)
+        # J_{n-1} = (2n / x) J_n - J_{n+1}
+        jc, jm = row[i], row[i - 1]
+        np.multiply(coef[i], jc, out=jm)
+        jm -= row[i + 1]
+        np.abs(jm, out=mag)
+        if mag.max() > 1e250:
+            # a factor of 1 leaves a value as it is, so the other columns are untouched
+            np.greater(mag, 1e250, out=big)
+            factor = np.where(big, inv, 1.0)
+            rows[i - 1 : i + 1] *= factor
+            norm *= factor
+            count += big
+        shift[i] = count
+
+
+def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
+    """J_n(x) for n = 0..n_terms-1 by normalized downward recurrence.
+
+    The rows of :func:`_miller_blocks` are stacked; a stored row owes
+    every rescale of its column after it was stored, and settles the
+    difference at the end with one exact ``ldexp``.  The table is then
+    normalized with J_0 + 2*sum J_{2k} = 1.  Values below the smallest
+    normal float, including orders whose true magnitude underflows, come
+    out as exact zeros.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros((n_terms, x.size))
@@ -132,33 +204,11 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     live = ~zero
     if not live.any():
         return out
-    xl = x[live]
-    top = max(n_terms, math.ceil(float(xl.max())))
-    n_start = top + max(50, top // 5)
-    jp = np.zeros(xl.size)  # J_{n+1}, column-wise running scale
-    jc = np.full(xl.size, 1e-30)  # J_{n_start} seed
-    norm = np.zeros(xl.size)
-    count = np.zeros(xl.size, dtype=np.int32)  # rescales of each column so far
-    raw = np.zeros((n_terms, xl.size))
-    shift = np.zeros((n_terms, xl.size), dtype=np.int32)  # count when each row was stored
-    for n in range(n_start, -1, -1):
-        if n < n_terms:
-            raw[n] = jc
-            shift[n] = count
-        if n == 0:
-            norm += jc
-        elif n % 2 == 0:
-            norm += 2.0 * jc
-        if n > 0:
-            jm = (2.0 * n / xl) * jc - jp
-            jp, jc = jc, jm
-            big = np.abs(jc) > 1e250
-            if big.any():
-                inv = 2.0**-_RESCALE_EXP
-                jc[big] *= inv
-                jp[big] *= inv
-                norm[big] *= inv
-                count[big] += 1
+    raw = np.empty((n_terms, np.count_nonzero(live)))
+    shift = np.empty(raw.shape, dtype=np.int32)  # count when each row was stored
+    for lo, rows, row_shift, count, norm in _miller_blocks(x[live], n_terms):
+        raw[lo : lo + rows.shape[0]] = rows
+        shift[lo : lo + rows.shape[0]] = row_shift
     shift -= count
     shift *= _RESCALE_EXP
     np.ldexp(raw, shift, out=raw)
@@ -198,31 +248,55 @@ def _sine_defect(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hat_weights(lo: int, hi: int, gamma: np.ndarray, h: float, n_gamma: int) -> np.ndarray:
-    """Exact 2*pi*c_n of detector hats for the orders n = lo..hi-1.
+def _hat_trig(gamma: np.ndarray):
+    """cos(r gamma_j) and sin(r gamma_j) for the even and the odd r < _ORDER_BLOCK.
+
+    Returns ((cos, sin) over even r, (cos, sin) over odd r), each array of
+    shape (gamma.size, _ORDER_BLOCK // 2).
+    """
+    return tuple(
+        (np.cos(angle), np.sin(angle))
+        for angle in (np.multiply.outer(gamma, np.arange(parity, _ORDER_BLOCK, 2.0)) for parity in (0, 1))
+    )
+
+
+def _hat_blocks(lo: int, hi: int, gamma: np.ndarray, h: float, n_gamma: int, trig) -> tuple[np.ndarray, np.ndarray]:
+    """Parity blocks of the weights b_n of detector hats, for the orders n = lo..hi-1.
 
     The hats are the linear interpolants of the unit vectors on a uniform
     grid of ``n_gamma`` samples with step ``h``, zero outside the grid;
-    ``gamma`` holds the first ``gamma.size`` of its samples.  An interior
-    hat has 2*pi*c_n = h sinc^2(nh/2) e^{-i n gamma_j}.  The end half-hats
-    have h e^{-i n gamma_end} E(+-nh), E(a) = int_0^1 (1 - s) e^{-ias} ds
-    = sinc^2(a/2)/2 - i (a - sin a)/a^2, with + at the first sample and -
-    at the last.  Returns shape (gamma.size, hi - lo), complex.
+    ``gamma`` holds the first ``gamma.size`` of its samples, ``trig`` is
+    :func:`_hat_trig` of it and ``lo`` a multiple of _ORDER_BLOCK.  An
+    interior hat has 2*pi*c_n = h sinc^2(nh/2) e^{-i n gamma_j}, so
+    b_n = 2h sinc^2(nh/2) cos(n gamma_j) for even n >= 2 and
+    b_n / i = -2h sinc^2(nh/2) sin(n gamma_j) for odd n, with the cosine
+    and sine of (lo + r) gamma by angle addition.  The end half-hats have
+    2*pi*c_n = h e^{-i n gamma_end} E(+-nh), E(a) = int_0^1 (1 - s)
+    e^{-ias} ds = sinc^2(a/2)/2 - i (a - sin a)/a^2, with + at the first
+    sample and - at the last.  Returns (even, odd), of shapes
+    (gamma.size, orders of each parity).
     """
-    a = h * np.arange(lo, hi, dtype=np.float64)
+    n = np.arange(lo, hi, dtype=np.float64)
+    a = h * n
     half = np.where(a == 0.0, 1.0, 0.5 * a)
     sinc2 = np.where(a == 0.0, 1.0, np.sin(half) / half) ** 2
-    # e^{-i n gamma} = e^{-i (lo + 16q) gamma} e^{-i r gamma} for n = lo + 16q + r:
-    # an eighth of the exponentials of a direct evaluation
-    coarse = np.exp(-1j * np.multiply.outer(gamma, np.arange(lo, hi, 16.0)))
-    fine = np.exp(-1j * np.multiply.outer(gamma, np.arange(16.0)))
-    phase = (coarse[:, :, None] * fine[:, None, :]).reshape(gamma.size, -1)[:, : hi - lo]
-    weights = phase * (h * sinc2)
+    (cos_even, sin_even), (cos_odd, sin_odd) = trig
+    n_even, n_odd = (hi - lo + 1) // 2, (hi - lo) // 2
+    cos_lo = np.cos(lo * gamma)[:, None]
+    sin_lo = np.sin(lo * gamma)[:, None]
+    even = cos_lo * cos_even[:, :n_even]
+    even -= sin_lo * sin_even[:, :n_even]
+    even *= 2.0 * h * sinc2[0::2]
+    odd = sin_lo * cos_odd[:, :n_odd]
+    odd += cos_lo * sin_odd[:, :n_odd]
+    odd *= -2.0 * h * sinc2[1::2]
+    if lo == 0:
+        even[:, 0] *= 0.5
     edge = h * (0.5 * sinc2 - 1j * _sine_defect(a))
-    weights[0] = phase[0] * edge
+    even[0], odd[0] = _real_fold(np.exp(-1j * (gamma[0] * n)) * edge, lo)
     if gamma.size == n_gamma:
-        weights[-1] = phase[-1] * np.conj(edge)
-    return weights
+        even[-1], odd[-1] = _real_fold(np.exp(-1j * (gamma[-1] * n)) * np.conj(edge), lo)
+    return even, odd
 
 
 def _real_fold(w: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,9 +313,9 @@ def _real_fold(w: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coefficient_blocks(Z: np.ndarray, gamma: np.ndarray, n_terms: int):
-    """Yield (lo, w) over blocks of orders n = lo, lo+1, ..., with lo even.
+    """Yield (lo, even, odd) over blocks of orders n = lo, lo+1, ..., with lo even.
 
-    w[:, i] holds 2*pi*c_n(theta) for n = lo + i.
+    even[:, i] holds b_{lo+2i}(theta) and odd[:, i] holds b_{lo+2i+1}(theta) / i.
     """
     m = gamma.size
     step = gamma[1] - gamma[0]
@@ -250,14 +324,14 @@ def _coefficient_blocks(Z: np.ndarray, gamma: np.ndarray, n_terms: int):
         if 2 * n_terms > m:
             raise ValueError(f"n_terms={n_terms} exceeds half the padded grid ({m})")
         spec = np.fft.rfft(Z, axis=1)
-        yield 0, spec[:, :n_terms] * (2.0 * math.pi / m)
+        yield 0, *_real_fold(spec[:, :n_terms] * (2.0 * math.pi / m), 0)
         return
-    # a support grid: the exact coefficients of Z's linear interpolant, zero outside it;
-    # the complex weights enter the product as pairs of real columns
+    # a support grid: the exact coefficients of Z's linear interpolant, zero outside it
     h = (gamma[-1] - gamma[0]) / (m - 1)
+    trig = _hat_trig(gamma)
     for lo in range(0, n_terms, _ORDER_BLOCK):
-        weights = _hat_weights(lo, min(lo + _ORDER_BLOCK, n_terms), gamma, h, m)
-        yield lo, (Z @ weights.view(np.float64)).view(np.complex128)
+        even, odd = _hat_blocks(lo, min(lo + _ORDER_BLOCK, n_terms), gamma, h, m, trig)
+        yield lo, Z @ even, Z @ odd
 
 
 def fourier_coefficients_gamma(Z: np.ndarray, gamma: np.ndarray, n_terms: int) -> np.ndarray:
@@ -286,9 +360,8 @@ def fourier_coefficients_gamma(Z: np.ndarray, gamma: np.ndarray, n_terms: int) -
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     b = np.empty((n_terms, Z.shape[0]), dtype=np.complex128)
-    for lo, w in _coefficient_blocks(Z, gamma, n_terms):
-        hi = lo + w.shape[1]
-        even, odd = _real_fold(w, lo)
+    for lo, even, odd in _coefficient_blocks(Z, gamma, n_terms):
+        hi = lo + even.shape[1] + odd.shape[1]
         b[lo:hi:2] = even.T
         b[lo + 1 : hi : 2] = 1j * odd.T
     return b
@@ -313,57 +386,92 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
 
     Shape (n_gamma, n_sigma), complex, C-contiguous and read-only, for the
     detector grid linspace(-gamma_max, gamma_max, n_gamma); one entry
-    holds 16 * n_gamma * n_sigma bytes.
+    holds 16 * n_gamma * n_sigma bytes.  Each block of orders of the
+    Miller recurrence is multiplied into K as soon as it is complete, so
+    no Bessel table is formed: the build holds one block of the
+    recurrence and K's accumulators.
     """
     sigma = math.pi * np.arange(n_sigma)
-    table = bessel_table(geom, n_terms, sigma)
     half_x = 0.5 * geom.d * sigma
     h = 2.0 * geom.gamma_max / (n_gamma - 1)
     # the grid is symmetric, so Re K is even in j and Im K odd: build the
     # first half of the rows and mirror the rest
     rows = (n_gamma + 1) // 2
     gamma = h * (np.arange(rows) - 0.5 * (n_gamma - 1))
-    re = np.zeros((rows, n_sigma))
-    im = np.zeros((rows, n_sigma))
+    trig = _hat_trig(gamma)
+    # K's columns as rows, accumulated in the scale of the recurrence;
+    # J_n(0) is 1 for n = 0 and 0 otherwise, so column 0 is b_0
+    re = np.zeros((n_sigma, rows))
+    im = np.zeros((n_sigma, rows))
+    re[0] = _hat_blocks(0, 1, gamma, h, n_gamma, trig)[0][:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_half_x = np.log(half_x)
         # the envelope (x/2)^n / n! at (x_max, n_terms), which choose_truncation holds below eps
         log_floor = n_terms * log_half_x[-1] - math.lgamma(n_terms + 1.0)
-    for lo in range(0, n_terms, _ORDER_BLOCK):
-        hi = min(lo + _ORDER_BLOCK, n_terms)
+    seen = np.zeros(n_sigma - 1, dtype=np.int32)  # the rescales applied to the accumulators
+    tiny = np.finfo(np.float64).tiny
+    blocks = _miller_blocks(geom.d * sigma[1:], n_terms) if n_sigma > 1 else ()
+    for lo, raw, shift, count, norm in blocks:
+        hi = lo + raw.shape[0]
         # band: column k skips the block when its envelope, decreasing in n
         # past x_k/2, is below the floor at n = lo; the envelope grows with
-        # x, so the skipped columns are a prefix
+        # x, so the skipped columns are a prefix, and column 0 is b_0 alone
         with np.errstate(invalid="ignore"):
             below = (lo >= half_x) & (lo * log_half_x - math.lgamma(lo + 1.0) < log_floor)
-        k0 = int(np.count_nonzero(below))
-        even, odd = _real_fold(_hat_weights(lo, hi, gamma, h, n_gamma), lo)
-        re[:, k0:] += even @ table[lo:hi:2, k0:]
-        im[:, k0:] += odd @ table[lo + 1 : hi : 2, k0:]
+        c0 = max(int(np.count_nonzero(below)), 1) - 1
+        # K is linear in the table: the rescales of a column since the last
+        # block scale its accumulated row (zero before the column enters the
+        # band), and a row of this block stored before a rescale is settled
+        # to the present scale
+        moved = np.flatnonzero(count[c0:] != seen[c0:]) + c0
+        if moved.size:
+            owed = ((seen[moved] - count[moved]) * _RESCALE_EXP)[:, None]
+            re[moved + 1] = np.ldexp(re[moved + 1], owed)
+            im[moved + 1] = np.ldexp(im[moved + 1], owed)
+        seen[:] = count
+        block = raw[:, c0:]
+        stale = np.flatnonzero(shift[-1, c0:] != count[c0:])
+        if stale.size:
+            cols = stale + c0
+            settled = np.ldexp(raw[:, cols], (shift[:, cols] - count[cols]) * _RESCALE_EXP)
+            # a matrix product slows many times over on subnormal operands
+            settled[np.abs(settled) < tiny] = 0.0
+            block = block.copy()
+            block[:, stale] = settled
+        even, odd = _hat_blocks(lo, hi, gamma, h, n_gamma, trig)
+        re[c0 + 1 :] += block[0::2].T @ even.T
+        im[c0 + 1 :] += block[1::2].T @ odd.T
+        if lo == 0:  # the last block, with the normalisation sum complete
+            re[1:] /= norm[:, None]
+            im[1:] /= norm[:, None]
     kernel = np.empty((n_gamma, n_sigma), dtype=np.complex128)
-    kernel[:rows].real = re
-    kernel[:rows].imag = im
+    kernel[:rows].real = re.T
+    kernel[:rows].imag = im.T
     kernel[rows:] = np.conj(kernel[: n_gamma // 2][::-1])
     kernel.flags.writeable = False
     return kernel
 
 
-def _series_image(sino: FanSinogram, n: int, eps: float) -> ImageGrid:
+def _detector_field(sino: FanSinogram, n: int, eps: float) -> np.ndarray:
+    """q on t_j = -1 + 2j/n, shape (2 n_beta, n), from the series at sigma_k = k*pi."""
     geom = sino.geometry
-    sigma_max = math.pi * n / 2.0
-    n_terms = choose_truncation(geom, sigma_max, eps)
+    n_terms = choose_truncation(geom, math.pi * n / 2.0, eps)
     Z = shear_to_theta(sino, 2 * sino.n_beta)
     K = _series_kernel(geom, n_terms, n // 2 + 1, sino.n_det)
     # S = Z K as one real GEMM against the interleaved real and imaginary parts of K
     S = (Z @ K.view(np.float64)).view(np.complex128)
-    # q on t_j = -1 + 2j/n from its period-2 Fourier coefficients a_k = S_k / 2
+    # q from its period-2 Fourier coefficients a_k = S_k / 2
     S[:, 1::2] *= -1.0
     q = np.fft.irfft(S, n, axis=1, norm="forward")
     q *= 0.5
-    # zero padded to 4n samples: 2n+1 radii spaced pi/4 up to sigma_max
-    spec = _detector_spectrum(q, -1.0, 2.0 / n, 4 * n, sigma_max)
-    img = spectrum_to_image(spec, n)
-    return ImageGrid(restore_dc(img, sino))
+    return q
+
+
+def _series_image(sino: FanSinogram, n: int, eps: float) -> ImageGrid:
+    # the series' arrays are freed before the back end's larger ones are
+    # allocated; zero padded to 4n samples: 2n+1 radii spaced pi/4 up to sigma_max
+    spec = _detector_spectrum(_detector_field(sino, n, eps), -1.0, 2.0 / n, 4 * n, math.pi * n / 2.0)
+    return ImageGrid(restore_dc(spectrum_to_image(spec, n), sino))
 
 
 def standard_fan_backproject(w: StandardFanSinogram, n: int, eps: float = 1e-9) -> ImageGrid:

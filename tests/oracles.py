@@ -186,6 +186,28 @@ def interpolant_coefficients_quadrature(Z, gamma, orders, nodes_per_segment=20):
     return values @ np.exp(-1j * np.multiply.outer(points, np.asarray(orders, dtype=np.float64)))
 
 
+def kernel_by_quadrature(gamma_max, n_gamma, x, nodes_per_cell=12):
+    """K[j, k] = int hat_j(gamma) exp(-i x_k sin gamma) dgamma by Gauss-Legendre quadrature.
+
+    hat_j is the linear interpolant of the j-th unit vector on the grid
+    linspace(-gamma_max, gamma_max, n_gamma), zero outside it.  Each
+    detector cell gets a rule of ``nodes_per_cell`` nodes, applied to the
+    two hats that are nonzero on it.  Returns shape (n_gamma, x.size).
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_cell)
+    s = 0.5 * (nodes + 1.0)
+    gamma = np.linspace(-gamma_max, gamma_max, n_gamma)
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros((n_gamma, x.size), dtype=np.complex128)
+    for c in range(n_gamma - 1):
+        h = gamma[c + 1] - gamma[c]
+        phase = np.exp(-1j * np.multiply.outer(np.sin(gamma[c] + h * s), x))
+        w = 0.5 * h * weights
+        out[c] += (w * (1.0 - s)) @ phase
+        out[c + 1] += (w * s) @ phase
+    return out
+
+
 def bessel_matrix_rescale_loop(x, n_terms):
     """J_n(x), n < n_terms, by normalized downward recurrence, rescaling stored rows as it goes.
 

@@ -26,10 +26,15 @@ def child_env():
     return env
 
 
-def run_process(*argv, timeout=120):
-    """Exit code of the CLI run in its own interpreter; a hang fails the test at ``timeout``."""
+def cli_process(*argv, timeout=120):
+    """The CLI run in its own interpreter, output captured as text; a hang fails the test at ``timeout``."""
     cmd = [sys.executable, "-m", "fanbeam.cli", *(str(a) for a in argv)]
-    return subprocess.run(cmd, env=child_env(), capture_output=True, timeout=timeout).returncode
+    return subprocess.run(cmd, env=child_env(), capture_output=True, text=True, timeout=timeout)
+
+
+def run_process(*argv, timeout=120):
+    """Exit code of the CLI run in its own interpreter."""
+    return cli_process(*argv, timeout=timeout).returncode
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +102,12 @@ class TestProjectCommand:
         assert run("project", "--in", parallel_file, "--geometry", "standard", "--d", "inf", "--out", tmp_path / "w.grd") == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_one_row_fan_exits_2(self, parallel_file, tmp_path, capsys):
+        out = tmp_path / "g.grd"
+        assert run("project", "--in", parallel_file, "--geometry", "linear", "--n-beta", 1, "--out", out) == 2
+        assert "n_beta >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.grd"
         # write_grid refuses a NaN payload, so the file is patched after writing
@@ -112,6 +123,21 @@ class TestProjectCommand:
 def linear_file(parallel_file, tmp_path_factory):
     path = tmp_path_factory.mktemp("fan") / "g.grd"
     assert run("project", "--in", parallel_file, "--geometry", "linear", "--out", path) == 0
+    return path
+
+
+def one_row_copy(fan_file, path):
+    """The first beta row of a fan grid file, written with the file's axes."""
+    grid = read_grid(fan_file)
+    write_grid(path, grid.data[:1], grid.axis0, grid.axis1)
+    return path
+
+
+def patched_copy(fan_file, path, offset, raw):
+    """A copy of a grid file with ``raw`` written over its bytes from ``offset``."""
+    data = bytearray(fan_file.read_bytes())
+    data[offset : offset + len(raw)] = raw
+    path.write_bytes(bytes(data))
     return path
 
 
@@ -202,6 +228,14 @@ class TestBackprojectCommand:
         assert run("backproject", "--in", tmp_path / "none.grd", "--geometry", "linear", "--n", 32,
                    "--out", tmp_path / "x.grd") == 2
 
+    @pytest.mark.parametrize("method", ["direct", "rebin-bst", "bessel"])
+    def test_one_row_fan_grid_exits_2(self, linear_file, tmp_path, capsys, method):
+        bad = one_row_copy(linear_file, tmp_path / "one_row.grd")
+        out = tmp_path / "x.grd"
+        assert run("backproject", "--in", bad, "--geometry", "linear", "--method", method, "--n", 32, "--out", out) == 2
+        assert "n_beta>=2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps_exits_2(self, linear_file, tmp_path, eps):
         assert run_process("backproject", "--in", linear_file, "--geometry", "linear", "--method", "bessel",
@@ -225,6 +259,31 @@ class TestBackprojectCommand:
         assert run("project", "--in", p, "--geometry", "standard", "--filtered", "--out", w) == 0
         assert run("backproject", "--in", w, "--geometry", "standard", "--n", n, "--filtered", "--out", out) == 0
         assert rel_l2(read_grid(out).data, read_grid(truth).data) < 0.15
+
+
+# one case per class of input error: the bad file or option, from the module's fan grid file and a scratch directory
+INPUT_ERRORS = {
+    "unknown-method": lambda fan, tmp: (fan, "--method", "warp"),
+    "non-positive-size": lambda fan, tmp: (fan, "--n", 0),
+    "missing-file": lambda fan, tmp: (tmp / "none.grd",),
+    "unreadable-file": lambda fan, tmp: (tmp,),
+    "malformed-header": lambda fan, tmp: (patched_copy(fan, tmp / "magic.grd", 0, b"NOTAGRID"),),
+    "nan-payload": lambda fan, tmp: (patched_copy(fan, tmp / "nan.grd", 49, np.full(3, np.nan).tobytes()),),
+    "nan-eps": lambda fan, tmp: (fan, "--method", "bessel", "--eps", "nan"),
+    "one-row-fan-grid": lambda fan, tmp: (one_row_copy(fan, tmp / "one_row.grd"),),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_errors_exit_2_with_a_message(linear_file, tmp_path, case):
+    # run in a child interpreter, so what reaches stderr is what a user sees
+    path, *options = INPUT_ERRORS[case](linear_file, tmp_path)
+    out = tmp_path / "x.grd"
+    done = cli_process("backproject", "--in", path, "--geometry", "linear", "--n", 32, *options, "--out", out)
+    assert done.returncode == 2
+    assert "error" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def test_threads_flag_accepted_and_ignored(linear_file, tmp_path):

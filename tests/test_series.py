@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from oracles import (
     bessel_matrix_rescale_loop,
     bessel_power_series,
     interpolant_coefficients_quadrature,
+    kernel_by_quadrature,
     series_image_dense,
     series_image_two_step,
     truncation_scan,
@@ -307,8 +309,8 @@ class TestSeriesEvaluationGrid:
             monkeypatch.setattr(series, name, spy)
         series._series_kernel.cache_clear()
         cold = standard_fan_backproject(w, n).data
-        # the kernel build takes the table and the hats' closed-form weights
-        assert calls == ["bessel_table"]
+        # the kernel build folds the recurrence into K and forms no table
+        assert calls == []
         calls.clear()
         warm = standard_fan_backproject(w, n).data
         info = series._series_kernel.cache_info()
@@ -343,6 +345,31 @@ class TestSeriesEvaluationGrid:
         )
         assert np.abs(kernel - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.array_equal(kernel[::-1], np.conj(kernel))
+
+    @pytest.mark.parametrize("d", [10.0, 2.0])
+    @pytest.mark.parametrize("n, n_gamma", [(64, 64), (64, 65), (128, 128), (128, 129), (256, 256), (256, 257),
+                                            (1024, 1024), (1024, 1025)])
+    def test_kernel_matches_quadrature(self, d, n, n_gamma):
+        # the shipped kernel against a quadrature of its defining integral,
+        # which shares no code with the series
+        geom = make_fan_geometry(d)
+        n_terms = choose_truncation(geom, math.pi * n / 2, 1e-9)
+        kernel = series._series_kernel.__wrapped__(geom, n_terms, n // 2 + 1, n_gamma)
+        ref = kernel_by_quadrature(geom.gamma_max, n_gamma, geom.d * math.pi * np.arange(n // 2 + 1))
+        assert np.abs(kernel - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_build_holds_no_bessel_table(self, geom):
+        # the recurrence is folded into K block by block, so the build's
+        # peak stays below half of the table it never forms
+        n = 512
+        n_terms = choose_truncation(geom, math.pi * n / 2, 1e-9)
+        tracemalloc.start()
+        try:
+            series._series_kernel.__wrapped__(geom, n_terms, n // 2 + 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * n_terms * (n // 2 + 1)
 
     @pytest.mark.parametrize("second", ["detector_count", "distance"])
     def test_kernel_key_follows_the_detector_grid(self, geom, second):
