@@ -49,17 +49,17 @@ The route builds K once per (geometry, n_terms, n//2+1, n_gamma) and
 caches it; a warm op is one real GEMM of Z against K's interleaved real
 and imaginary parts, with no Fourier coefficients and no Bessel table.
 The build calls no FFT and forms no table.  It runs the recurrence down
-from above the truncation order, and each time a block of orders is
+from each column's own start order, and each time a block of orders is
 complete it multiplies the block into K's accumulators against the
 hats' weights of those orders, which come by angle addition from one
 table of cos(r gamma_j) and sin(r gamma_j), r < 256, per build:
 
 * scale: K is linear in the table, so when the recurrence rescales a
-  column by 2**-832, the column's accumulated sum is rescaled with it,
-  and the rows of a block stored before the rescale are settled to the
-  new scale (values below the smallest normal float flushed to zero);
-  the normalisation J_0 + 2*sum J_{2k} divides each column once, at the
-  end;
+  column by 2**-400, which it does only between two blocks, the column's
+  accumulated sum is rescaled with it; a block's rows share one scale
+  per column and none is subnormal, as a column grows from its seed 1.0
+  and a rescale leaves it above 1; the normalisation J_0 + 2*sum J_{2k}
+  divides each column once, at the end;
 * band: column k skips an order block once the envelope
   (x_k/2)^n / n!, x_k = D sigma_k, lies below its value at
   (x_max, n_terms) for every order of the block, which the truncation
@@ -90,8 +90,24 @@ __all__ = [
     "linear_fan_backproject",
 ]
 
-_RESCALE_EXP = 832  # columns near overflow are scaled by 2**-832, about 1e-250
+_RESCALE_EXP = 400  # between blocks, a column whose carry rows exceed 2**400 is scaled by 2**-400
+_LOG_START = math.log(1e-200)  # each column's recurrence starts where its envelope falls below this
 _ORDER_BLOCK = 256  # orders per block of the hat weights, the kernel build and the table flush
+
+
+def _envelope_order(x: float, log_bound: float) -> int:
+    """First order n past the peak of the envelope (x/2)^n / n!, x > 0, where it is below exp(log_bound)."""
+    log_half = math.log(x / 2.0)
+
+    def above(n: int) -> bool:
+        return n * log_half - math.lgamma(n + 1.0) >= log_bound
+
+    # the envelope peaks at ceil(x/2) - 1 and decreases after it: bracket
+    # the first order below the bound by doubling steps, then bisect the bracket
+    lo, step = max(0, math.ceil(x / 2.0) - 1), 1
+    while above(lo + step):
+        lo, step = lo + step, 2 * step
+    return lo + bisect.bisect_left(range(lo, lo + step), True, key=lambda m: not above(m))
 
 
 def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
@@ -103,99 +119,88 @@ def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps={eps} must be positive and finite")
-    x = geom.d * float(sigma_max)
+    sigma_max = float(sigma_max)
+    if not (math.isfinite(sigma_max) and sigma_max >= 0):
+        raise ValueError(f"sigma_max={sigma_max} must be finite and nonnegative")
+    x = geom.d * sigma_max
     nyquist = math.ceil(2.0 * geom.gamma_max * x / math.pi)
     if x == 0.0:
         return max(1, nyquist)
-    log_eps = math.log(eps)
-    log_half = math.log(x / 2.0)
-
-    def above(n: int) -> bool:
-        return n * log_half - math.lgamma(n + 1.0) >= log_eps
-
-    # the envelope peaks at ceil(x/2) - 1 and decreases after it: bracket
-    # the first order below eps by doubling steps, then bisect the bracket
-    lo, step = max(0, math.ceil(x / 2.0) - 1), 1
-    while above(lo + step):
-        lo, step = lo + step, 2 * step
-    n = lo + bisect.bisect_left(range(lo, lo + step), True, key=lambda m: not above(m))
-    return max(n, nyquist, 1)
+    return max(_envelope_order(x, math.log(eps)), nyquist, 1)
 
 
 def _miller_blocks(x: np.ndarray, n_terms: int):
-    """Downward (Miller) recurrence for J_n(x), x > 0, over blocks of orders.
+    """Downward (Miller) recurrence for J_n(x), x != 0, over blocks of orders.
 
-    The recurrence starts well above both the requested orders and the
-    turning point n ~ x, where J_n has decayed far below working
-    precision, and runs down in place through a buffer of
-    _ORDER_BLOCK + 2 rows, row i holding order lo + i of the block.  A
-    column is rescaled by 2**-832, with its partial normalisation sum
-    J_0 + 2*sum J_{2k}, whenever its running values approach overflow.
+    Column k starts at 1.0, with a zero above it, at the order N_k of
+    :func:`_envelope_order` at |x_k| and 1e-200: there the envelope, a
+    bound on |J_n(x_k)|, is below 1e-200, about that fraction of the
+    column's peak, and the orders above N_k stay exact zeros.  The
+    recurrence runs down in place through a buffer of _ORDER_BLOCK + 2
+    rows, row i holding order lo + i of the block.  Only between blocks, a
+    column whose two carry rows exceed 2**400 is scaled by 2**-400, with
+    its partial normalisation sum J_0 + 2*sum J_{2k}.  No block can
+    overflow, because the start bounds a column's growth: up to its first
+    rescale a column stays below 2**709 (the seed sits about 2**-664
+    under the envelope, so a small |x_k| peaks near 2**664), and after it
+    a block multiplies the values by less than 2**320, so a carry below
+    2**400 stays below 2**720.  Both bounds are measured over
+    1e-8 <= |x| <= 2e5; below |x| ~ 2e-154 the first steps can overflow.
 
-    Yields (lo, raw, shift, count, norm) for the blocks of orders
-    n = lo..hi-1, hi <= n_terms, from the top down: raw[i] holds the
-    unnormalised J_{lo+i} of each column as scaled when shift[i] rescales
-    had been applied to it, count the rescales of each column so far, so
-    that row i owes 2**(-832 * (count - shift[i])), and norm the
-    normalisation sum, complete at the last block (lo = 0).  The recurrence
-    goes on to overwrite all four arrays.
+    Yields (lo, raw, count, norm) for the blocks of orders n = lo..hi-1,
+    hi <= n_terms, from the top down: raw[i] holds the unnormalised
+    J_{lo+i} of each column, scaled by 2**(-400 * count), count the
+    rescales of each column so far, and norm the normalisation sum, at the
+    same scale and complete at the last block (lo = 0).  The recurrence
+    goes on to overwrite all three arrays.
     """
-    top = max(n_terms, math.ceil(float(x.max())))
-    n_start = top + max(50, top // 5)
+    starts = np.array([_envelope_order(v, _LOG_START) for v in np.abs(x).tolist()])
+    seeds = {n: np.flatnonzero(starts == n) for n in np.unique(starts).tolist()}
+    top = int(starts.max())
     rows = np.zeros((_ORDER_BLOCK + 2, x.size))
     row = list(rows)
-    shift = np.zeros((_ORDER_BLOCK + 2, x.size), dtype=np.int32)
+    carry = rows[_ORDER_BLOCK:]
     norm = np.zeros(x.size)
     count = np.zeros(x.size, dtype=np.int32)  # rescales of each column so far
     coef = np.empty((_ORDER_BLOCK + 1, x.size))
-    mag = np.empty(x.size)
-    big = np.empty(x.size, dtype=bool)
-    inv = 2.0**-_RESCALE_EXP
-    lo = n_start - n_start % _ORDER_BLOCK
-    rows[n_start - lo] = 1e-30  # J_{n_start} seed, J_{n_start+1} = 0
+    lo = top - top % _ORDER_BLOCK
     np.divide(2.0 * np.arange(lo, lo + _ORDER_BLOCK + 1, dtype=np.float64)[:, None], x, out=coef)
-    for n in range(n_start, -1, -1):
+    for n in range(top, -1, -1):
         i = n - lo
+        if n in seeds:
+            row[i][seeds[n]] = 1.0
         if n == 0:
             norm += row[i]
         elif n % 2 == 0:
             norm += 2.0 * row[i]
         if i == 0:
-            shift[0] = count
             if lo < n_terms:
-                width = min(_ORDER_BLOCK, n_terms - lo)
-                yield lo, rows[:width], shift[:width], count, norm
+                yield lo, rows[: min(_ORDER_BLOCK, n_terms - lo)], count, norm
             if n == 0:
                 return
             # the two orders the next block down starts from
-            rows[_ORDER_BLOCK:] = rows[:2]
+            carry[:] = rows[:2]
+            big = np.abs(carry).max(axis=0) > 2.0**_RESCALE_EXP
+            np.ldexp(carry, -_RESCALE_EXP * big, out=carry)
+            np.ldexp(norm, -_RESCALE_EXP * big, out=norm)
+            count += big
             lo -= _ORDER_BLOCK
             i = _ORDER_BLOCK
             np.divide(2.0 * np.arange(lo, lo + _ORDER_BLOCK + 1, dtype=np.float64)[:, None], x, out=coef)
         # J_{n-1} = (2n / x) J_n - J_{n+1}
-        jc, jm = row[i], row[i - 1]
-        np.multiply(coef[i], jc, out=jm)
-        jm -= row[i + 1]
-        np.abs(jm, out=mag)
-        if mag.max() > 1e250:
-            # a factor of 1 leaves a value as it is, so the other columns are untouched
-            np.greater(mag, 1e250, out=big)
-            factor = np.where(big, inv, 1.0)
-            rows[i - 1 : i + 1] *= factor
-            norm *= factor
-            count += big
-        shift[i] = count
+        np.multiply(coef[i], row[i], out=row[i - 1])
+        row[i - 1] -= row[i + 1]
 
 
 def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     """J_n(x) for n = 0..n_terms-1 by normalized downward recurrence.
 
-    The rows of :func:`_miller_blocks` are stacked; a stored row owes
-    every rescale of its column after it was stored, and settles the
-    difference at the end with one exact ``ldexp``.  The table is then
-    normalized with J_0 + 2*sum J_{2k} = 1.  Values below the smallest
-    normal float, including orders whose true magnitude underflows, come
-    out as exact zeros.
+    The blocks of :func:`_miller_blocks` are stacked; a block owes every
+    rescale of its columns after it was yielded, settled at the end with
+    one exact ``ldexp`` per block.  The table is then normalized with
+    J_0 + 2*sum J_{2k} = 1.  Values below about 1e-200 of a column's peak,
+    above the order its recurrence starts from, and values below the
+    smallest normal float come out as exact zeros.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros((n_terms, x.size))
@@ -204,19 +209,18 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     live = ~zero
     if not live.any():
         return out
-    raw = np.empty((n_terms, np.count_nonzero(live)))
-    shift = np.empty(raw.shape, dtype=np.int32)  # count when each row was stored
-    for lo, rows, row_shift, count, norm in _miller_blocks(x[live], n_terms):
+    raw = np.zeros((n_terms, np.count_nonzero(live)))
+    stored = []  # (lo, count) when each block was yielded
+    for lo, rows, count, norm in _miller_blocks(x[live], n_terms):
         raw[lo : lo + rows.shape[0]] = rows
-        shift[lo : lo + rows.shape[0]] = row_shift
-    shift -= count
-    shift *= _RESCALE_EXP
-    np.ldexp(raw, shift, out=raw)
-    # past the turning point the values decay through the subnormal range,
-    # and a matrix product slows many times over on subnormal operands
+        stored.append((lo, count.copy()))
+    # settled rows of a column with many rescales decay through the
+    # subnormal range, and a matrix product slows many times over on
+    # subnormal operands
     tiny = np.finfo(np.float64).tiny
-    for lo in range(0, n_terms, _ORDER_BLOCK):
+    for lo, seen in stored:
         rows = raw[lo : lo + _ORDER_BLOCK]
+        np.ldexp(rows, (seen - count) * _RESCALE_EXP, out=rows)
         rows /= norm
         rows[np.abs(rows) < tiny] = 0.0
     out[:, live] = raw
@@ -409,9 +413,8 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
         # the envelope (x/2)^n / n! at (x_max, n_terms), which choose_truncation holds below eps
         log_floor = n_terms * log_half_x[-1] - math.lgamma(n_terms + 1.0)
     seen = np.zeros(n_sigma - 1, dtype=np.int32)  # the rescales applied to the accumulators
-    tiny = np.finfo(np.float64).tiny
     blocks = _miller_blocks(geom.d * sigma[1:], n_terms) if n_sigma > 1 else ()
-    for lo, raw, shift, count, norm in blocks:
+    for lo, raw, count, norm in blocks:
         hi = lo + raw.shape[0]
         # band: column k skips the block when its envelope, decreasing in n
         # past x_k/2, is below the floor at n = lo; the envelope grows with
@@ -420,27 +423,16 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
             below = (lo >= half_x) & (lo * log_half_x - math.lgamma(lo + 1.0) < log_floor)
         c0 = max(int(np.count_nonzero(below)), 1) - 1
         # K is linear in the table: the rescales of a column since the last
-        # block scale its accumulated row (zero before the column enters the
-        # band), and a row of this block stored before a rescale is settled
-        # to the present scale
+        # block scale its accumulated row (zero before the column enters the band)
         moved = np.flatnonzero(count[c0:] != seen[c0:]) + c0
         if moved.size:
             owed = ((seen[moved] - count[moved]) * _RESCALE_EXP)[:, None]
             re[moved + 1] = np.ldexp(re[moved + 1], owed)
             im[moved + 1] = np.ldexp(im[moved + 1], owed)
         seen[:] = count
-        block = raw[:, c0:]
-        stale = np.flatnonzero(shift[-1, c0:] != count[c0:])
-        if stale.size:
-            cols = stale + c0
-            settled = np.ldexp(raw[:, cols], (shift[:, cols] - count[cols]) * _RESCALE_EXP)
-            # a matrix product slows many times over on subnormal operands
-            settled[np.abs(settled) < tiny] = 0.0
-            block = block.copy()
-            block[:, stale] = settled
         even, odd = _hat_blocks(lo, hi, gamma, h, n_gamma, trig)
-        re[c0 + 1 :] += block[0::2].T @ even.T
-        im[c0 + 1 :] += block[1::2].T @ odd.T
+        re[c0 + 1 :] += raw[0::2, c0:].T @ even.T
+        im[c0 + 1 :] += raw[1::2, c0:].T @ odd.T
         if lo == 0:  # the last block, with the normalisation sum complete
             re[1:] /= norm[:, None]
             im[1:] /= norm[:, None]

@@ -211,8 +211,11 @@ def kernel_by_quadrature(gamma_max, n_gamma, x, nodes_per_cell=12):
 def bessel_matrix_rescale_loop(x, n_terms):
     """J_n(x), n < n_terms, by normalized downward recurrence, rescaling stored rows as it goes.
 
-    Each time a column nears overflow, its running values and every row
-    already stored are multiplied by 2**-832 on the spot.
+    Column k starts at 1.0 at the first order past the peak of its
+    envelope (|x_k|/2)^n / n!, found by a linear scan, where the envelope
+    is below 1e-200.  Each time a column nears overflow, its running
+    values and every row already stored are multiplied by 2**-400 on the
+    spot.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros((n_terms, x.size))
@@ -222,13 +225,19 @@ def bessel_matrix_rescale_loop(x, n_terms):
     if not live.any():
         return out
     xl = x[live]
-    top = max(n_terms, math.ceil(float(xl.max())))
-    n_start = top + max(50, top // 5)
+    starts = []
+    for v in np.abs(xl):
+        n = max(0, math.ceil(v / 2.0) - 1)
+        while n * math.log(v / 2.0) - math.lgamma(n + 1.0) >= math.log(1e-200):
+            n += 1
+        starts.append(n)
+    starts = np.array(starts)
     jp = np.zeros(xl.size)
-    jc = np.full(xl.size, 1e-30)
+    jc = np.zeros(xl.size)
     norm = np.zeros(xl.size)
     raw = np.zeros((n_terms, xl.size))
-    for n in range(n_start, -1, -1):
+    for n in range(int(starts.max()), -1, -1):
+        jc[starts == n] = 1.0
         if n < n_terms:
             raw[n] = jc
         if n == 0:
@@ -240,7 +249,7 @@ def bessel_matrix_rescale_loop(x, n_terms):
             jp, jc = jc, jm
             big = np.abs(jc) > 1e250
             if big.any():
-                inv = 1.0 / 2.0**832
+                inv = 1.0 / 2.0**400
                 jc[big] *= inv
                 jp[big] *= inv
                 norm[big] *= inv

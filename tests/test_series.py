@@ -76,6 +76,11 @@ class TestChooseTruncation:
         for sigma_max in np.linspace(0.0, 3.0, 61):
             assert choose_truncation(geom, sigma_max, 1e-9) == truncation_scan(geom, sigma_max, 1e-9)
 
+    @pytest.mark.parametrize("sigma_max", [math.inf, -math.inf, math.nan, -3.0, -1e-300])
+    def test_bad_sigma_max_is_a_value_error(self, geom, sigma_max):
+        with pytest.raises(ValueError, match="sigma_max"):
+            choose_truncation(geom, sigma_max, 1e-9)
+
     @given(st.floats(min_value=1e-12, max_value=1e-3), st.floats(min_value=0.0, max_value=30.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_eps(self, eps, sigma_max):
@@ -94,7 +99,8 @@ class TestBesselTable:
         assert tab[1, 1] == pytest.approx(0.5767248, abs=1e-7)
 
     def test_against_reference_routine(self, geom):
-        sig = np.concatenate([[0.0], np.geomspace(1e-3, 80.0, 40)])
+        # negative sigma too: the recurrence starts each column from |x|
+        sig = np.concatenate([[0.0], np.geomspace(1e-3, 80.0, 40), -np.geomspace(1e-3, 80.0, 13)])
         tab = bessel_table(geom, 300, sig)
         ref = jv(np.arange(300)[:, None], (geom.d * sig)[None, :])
         np.testing.assert_allclose(tab, ref, atol=1e-12)
@@ -106,6 +112,15 @@ class TestBesselTable:
         sub = np.linspace(0, n_terms - 1, 25, dtype=int)
         ref = jv(sub[:, None], (geom.d * sig)[None, :])
         np.testing.assert_allclose(vals[sub], ref, atol=1e-12)
+
+    @pytest.mark.parametrize("n_terms", [50, 300, 3000])
+    def test_wide_argument_range(self, n_terms):
+        # arguments from far below the lowest order to far above the highest: each
+        # column starts from its own envelope, and no block overflows
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 2e5, 200)])
+        vals = _bessel_matrix(x, n_terms)
+        assert np.isfinite(vals).all()
+        np.testing.assert_allclose(vals, jv(np.arange(n_terms)[:, None], x[None, :]), rtol=0, atol=1e-12)
 
     def test_no_subnormal_entries(self, geom):
         # a product over subnormal operands runs many times slower, so the
@@ -346,9 +361,16 @@ class TestSeriesEvaluationGrid:
         assert np.abs(kernel - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.array_equal(kernel[::-1], np.conj(kernel))
 
-    @pytest.mark.parametrize("d", [10.0, 2.0])
-    @pytest.mark.parametrize("n, n_gamma", [(64, 64), (64, 65), (128, 128), (128, 129), (256, 256), (256, 257),
-                                            (1024, 1024), (1024, 1025)])
+    @pytest.mark.parametrize(
+        "n, n_gamma, d",
+        [
+            *((n, n_gamma, d) for d in (10.0, 2.0)
+              for n, n_gamma in ((64, 64), (64, 65), (128, 128), (128, 129), (256, 256), (256, 257),
+                                 (1024, 1024), (1024, 1025))),
+            # the nearest and the farthest source: the widest and the narrowest fan
+            *((n, n_gamma, d) for d in (1.05, 50.0) for n, n_gamma in ((64, 64), (64, 65), (256, 256), (256, 257))),
+        ],
+    )
     def test_kernel_matches_quadrature(self, d, n, n_gamma):
         # the shipped kernel against a quadrature of its defining integral,
         # which shares no code with the series
