@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import ParallelSinogram, image_coords
+from .core import ParallelSinogram
 
 __all__ = ["disk_integral_target", "restore_dc"]
 
@@ -33,7 +33,7 @@ def disk_integral_target(sino) -> float:
         dt = 2.0 / (sino.n_t - 1)
         dtheta = sino.theta_span / sino.n_theta
         weight = dtheta if sino.full_circle else 2.0 * dtheta
-        return float(weight * dt * np.sum(sino.data * _chord(sino.t_grid)[None, :]))
+        return float(weight * dt * np.sum(sino.data @ _chord(sino.t_grid)))
     geom = sino.geometry
     det = sino.det_grid
     t = sino.detector.t(det, geom.d)
@@ -48,12 +48,25 @@ def disk_integral_target(sino) -> float:
     return float(dcell * np.sum(sino.data * twice * _chord(t)[None, :]))
 
 
+def _disk_columns(n: int) -> np.ndarray:
+    """First column of each row's in-disk pixels; row i holds columns lo_i .. n-1-lo_i.
+
+    With a = 2i + 1 - n and b = 2j + 1 - n, pixel (i, j) is centred at
+    (b, a)/n and inside the closed unit disk when a^2 + b^2 <= n^2.  a and
+    b have the parity of n + 1, so a^2 + b^2 never equals n^2 and is at
+    least 1 away from it: the in-disk columns are |b| < sqrt(n^2 - a^2),
+    and the float test x1^2 + x2^2 <= 1 on the pixel centres, off by
+    roundoff only, picks the same pixels.
+    """
+    a = 2.0 * np.arange(n) + 1.0 - n
+    return np.floor((n - 1.0 - np.sqrt(n * n - a * a)) / 2.0).astype(np.intp) + 1
+
+
 def restore_dc(img: np.ndarray, sino) -> np.ndarray:
     """``img`` plus the constant that makes its disk integral match :func:`disk_integral_target`."""
     n = img.shape[0]
-    x1, x2 = image_coords(n)
-    mask = x1**2 + x2**2 <= 1.0
+    lo = _disk_columns(n)
     h2 = (2.0 / n) ** 2
-    current = h2 * float(img[mask].sum())
+    current = h2 * sum(float(row[first : n - first].sum()) for row, first in zip(img, lo.tolist()))
     target = disk_integral_target(sino)
-    return img + (target - current) / (h2 * mask.sum())
+    return img + (target - current) / (h2 * int(np.sum(n - 2 * lo)))

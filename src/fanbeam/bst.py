@@ -74,8 +74,7 @@ def _detector_spectrum(data: np.ndarray, t0: float, dt: float, length: int, sigm
     # weighted in place, with no temporary the size of the spectrum
     spec = spec[:, :keep]
     spec[:, 0] = 0.0
-    spec[:, 1:] *= dt * np.exp(-1j * sigma[1:keep] * t0)
-    spec[:, 1:] *= 4.0 * math.pi / sigma[1:keep]
+    spec[:, 1:] *= (dt * 4.0 * math.pi / sigma[1:keep]) * np.exp(-1j * sigma[1:keep] * t0)
     return PolarSpectrum(spec, sigma_max=float(sigma[keep - 1]))
 
 
@@ -136,14 +135,22 @@ def _rows(data: np.ndarray, count: int) -> np.ndarray:
 
     The second column is P_sym reflected theta -> -theta: sampled at a
     quarter-plane node it gives the mirrored node in the quadrant k2 < 0.
+    Every term is a slice or a reversed slice of the polar rows; count is
+    at most n_theta/4 + 2, so only a grid of two or four angles has
+    theta + pi partners past its last row, and it is stacked twice.
     """
     n_theta = data.shape[0]
-    j = np.arange(count)
+    half = n_theta // 2
+    if half + count > n_theta:
+        data = np.vstack([data, data])
     x = np.empty((count, data.shape[1], 2), dtype=np.complex128)
-    for col, rows in enumerate((j, -j)):
-        x[:, :, col] = data[rows % n_theta]
-        conj = data[(rows + n_theta // 2) % n_theta]
-        x[:, :, col] += np.conj(conj, out=conj)
+    # j + pi and j
+    np.conjugate(data[half : half + count], out=x[:, :, 0])
+    x[:, :, 0] += data[:count]
+    # -j + pi and -j, that is row 0 then rows n_theta - 1 down to n_theta - count + 1
+    np.conjugate(data[half - count + 1 : half + 1][::-1], out=x[:, :, 1])
+    x[0, :, 1] += data[0]
+    x[1:, :, 1] += data[n_theta - count + 1 : n_theta][::-1]
     return x
 
 

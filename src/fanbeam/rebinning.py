@@ -26,6 +26,12 @@ Z(gamma, theta): w(gamma, theta - gamma) for the standard detector and
 tau(gamma) g(D tan gamma, theta - gamma), tau = D sec^2 gamma, for the
 linear one.  The detector maps and Jacobians live in
 :class:`fanbeam.core.FanDetector`.
+
+The fast routes' front end, :func:`_adjoint_rebin`, is a per-column
+gather of its own.  :class:`FanSampler`, a general 2-D bilinear lookup,
+serves only the pixel-driven oracles of :mod:`fanbeam.reference` and the
+tests, so the fast routes share no interpolation code with what
+validates them.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import math
 
 import numpy as np
 
-from ._interp import bilinear, interp_or_zero
+from ._interp import _EDGE_TOL, bilinear, interp_or_zero
 from .core import FanSinogram, LinearFanSinogram, ParallelSinogram, StandardFanSinogram
 
 __all__ = [
@@ -47,8 +53,8 @@ __all__ = [
     "shear_to_theta",
 ]
 
-# theta rows per block of the adjoint rebinning; bounds the sampler's
-# temporaries to a few MB whatever the grid size
+# theta rows per block of the adjoint rebinning; bounds its temporaries
+# to a few MB whatever the grid size
 _THETA_BLOCK = 128
 
 
@@ -91,20 +97,115 @@ class FanSampler:
         return bilinear(self.ext, beta / self.dbeta, (det + self.half_width) / self.ddet)
 
 
+def _detector_columns(v: np.ndarray, n_det: int):
+    """Left detector column (as a float) and fraction of the fractional column indices ``v``, and where v is on the detector."""
+    inside = (v >= -_EDGE_TOL) & (v <= n_det - 1.0 + _EDGE_TOL)
+    vc = np.clip(v, 0.0, n_det - 1.0)
+    col = np.minimum(np.floor(vc), n_det - 2.0)
+    return col, vc - col, inside
+
+
+def _wrap_extended(sino: FanSinogram, dbeta: float, det: np.ndarray) -> np.ndarray:
+    """The sinogram with one more row, its value at beta = beta_span, shape (n_beta + 1, n_det).
+
+    The wrap row is the symmetry partner at -det, the reversed column, at
+    beta = 2*angle(det) + beta_span - pi.  That beta lies in
+    [0, beta_span] (its roundoff is clamped); one past the last stored
+    row reads zero.
+    """
+    geom = sino.geometry
+    data = sino.data
+    n_beta = data.shape[0]
+    u = np.clip(2.0 * sino.detector.angle(det, geom.d) + (geom.beta_span - math.pi), 0.0, geom.beta_span) / dbeta
+    uc = np.minimum(u, n_beta - 1.0)
+    row = np.minimum(uc.astype(np.intp), n_beta - 2)
+    fu = uc - row
+    rev = np.arange(data.shape[1])[::-1]
+    ext = np.empty((n_beta + 1, data.shape[1]))
+    ext[:n_beta] = data
+    ext[n_beta] = np.where(u <= n_beta - 1.0 + _EDGE_TOL, data[row, rev] * (1.0 - fu) + data[row + 1, rev] * fu, 0.0)
+    return ext
+
+
 def _adjoint_rebin(sino: FanSinogram, t: np.ndarray, n_theta2pi: int, scale=1.0) -> np.ndarray:
-    """(M* sino)(t_j, theta_i) * scale_j, shape (n_theta2pi, t.size), theta_i = 2*pi*i/n_theta2pi."""
+    """(M* sino)(t_j, theta_i) * scale_j, shape (n_theta2pi, t.size), theta_i = 2*pi*i/n_theta2pi.
+
+    A per-column gather.  Output column j reads the fan at the fixed
+    detector coordinate det(t_j) at beta = theta_i - gamma_j, or, where
+    that beta (mod 2*pi) is past the measured window, at the partner -det(t_j)
+    with beta shifted by the fixed 2*angle(det_j) - pi.  So the two
+    detector columns of either reading, their fractions and the shift are
+    set once per column, and a block of theta rows computes only the beta
+    index and its fraction, gathers four values from the wrap-extended
+    sinogram and interpolates them in place.  A column whose coordinate is
+    off the detector reads zero.
+    """
     if t.size < 2 or n_theta2pi < 2:
         raise ValueError("need n_t >= 2 and n_theta2pi >= 2")
-    d = sino.geometry.d
+    geom = sino.geometry
+    d, beta_span = geom.d, geom.beta_span
+    n_beta, n_det = sino.data.shape
+    dbeta = beta_span / n_beta
+    half_width = sino.detector.half_width(geom)
+    ddet = 2.0 * half_width / (n_det - 1)
+    ext = _wrap_extended(sino, dbeta, -half_width + ddet * np.arange(n_det))
     gamma = np.arcsin(t / d)  # fan angle of the ray at offset t, either detector
     det = sino.detector.det_of_t(t, d)
-    weight = sino.detector.jacobian(t, d) * scale
+    col, fv, inside = _detector_columns((det + half_width) / ddet, n_det)
+    col_p, fv_p, inside_p = _detector_columns((half_width - det) / ddet, n_det)
+    weight = np.where(inside & inside_p, sino.detector.jacobian(t, d) * scale, 0.0)
+    shift = (2.0 * sino.detector.angle(det, d) - math.pi) / dbeta
+    # the partner's column offset and fraction, relative to the direct reading's
+    dcol, dfv = col_p - col, fv_p - fv
+    flat = ext.ravel()
     theta = 2.0 * math.pi * np.arange(n_theta2pi) / n_theta2pi
-    sampler = FanSampler(sino)
     out = np.empty((n_theta2pi, t.size))
-    for lo in range(0, n_theta2pi, _THETA_BLOCK):
-        rows = slice(lo, lo + _THETA_BLOCK)
-        np.multiply(sampler.sample(det, theta[rows, None] - gamma), weight, out=out[rows])
+    block = min(_THETA_BLOCK, n_theta2pi)
+    u_buf, a_buf, b_buf = np.empty((3, block, t.size))
+    idx_buf = np.empty((block, t.size), dtype=np.intp)
+    partner_buf = np.empty((block, t.size), dtype=bool)
+    for lo in range(0, n_theta2pi, block):
+        rows = slice(lo, lo + block)
+        m = theta[rows].size
+        u, a, b, idx, partner = (x[:m] for x in (u_buf, a_buf, b_buf, idx_buf, partner_buf))
+        c = out[rows]  # scratch until the block's result is written
+        # beta = theta - gamma in [-pi/2, 5*pi/2), reduced to [0, 2*pi) as np.mod does
+        np.subtract(theta[rows, None], gamma, out=u)
+        np.less(u, 0.0, out=partner)
+        np.multiply(partner, 2.0 * math.pi, out=a)
+        u += a
+        np.greater_equal(u, 2.0 * math.pi, out=partner)
+        np.multiply(partner, 2.0 * math.pi, out=a)
+        u -= a
+        # its row index, shifted to the partner's past the window, and fraction
+        np.greater(u, beta_span, out=partner)
+        u /= dbeta
+        np.multiply(partner, shift, out=a)
+        u += a
+        np.clip(u, 0.0, float(n_beta), out=u)
+        np.floor(u, out=a)
+        np.minimum(a, n_beta - 1.0, out=a)
+        u -= a
+        # flat index of the cell's first corner, exact in float64
+        a *= n_det
+        a += col
+        np.multiply(partner, dcol, out=b)
+        a += b
+        np.copyto(idx, a, casting="unsafe")
+        # along beta in the left and the right detector column, then across
+        # them; the corners are the flattened rows shifted by 0, 1, n_det, n_det + 1
+        for left, below, above in ((a, flat, flat[n_det:]), (b, flat[1:], flat[n_det + 1 :])):
+            np.take(below, idx, out=left)
+            np.take(above, idx, out=c)
+            c -= left
+            c *= u
+            left += c
+        b -= a
+        np.multiply(partner, dfv, out=u)
+        u += fv
+        b *= u
+        a += b
+        np.multiply(a, weight, out=c)
     return out
 
 

@@ -93,6 +93,7 @@ __all__ = [
 _RESCALE_EXP = 400  # between blocks, a column whose carry rows exceed 2**400 is scaled by 2**-400
 _LOG_START = math.log(1e-200)  # each column's recurrence starts where its envelope falls below this
 _ORDER_BLOCK = 256  # orders per block of the hat weights, the kernel build and the table flush
+_LEADING_X = 1e-8  # below this |x|, J_n(x) is its leading term (x/2)^n / n! to rounding
 
 
 def _envelope_order(x: float, log_bound: float) -> int:
@@ -145,7 +146,9 @@ def _miller_blocks(x: np.ndarray, n_terms: int):
     under the envelope, so a small |x_k| peaks near 2**664), and after it
     a block multiplies the values by less than 2**320, so a carry below
     2**400 stays below 2**720.  Both bounds are measured over
-    1e-8 <= |x| <= 2e5; below |x| ~ 2e-154 the first steps can overflow.
+    1e-8 <= |x| <= 2e5; below |x| ~ 2e-154 the first steps can overflow,
+    so :func:`_bessel_matrix` takes columns below _LEADING_X from their
+    leading term instead.
 
     Yields (lo, raw, count, norm) for the blocks of orders n = lo..hi-1,
     hi <= n_terms, from the top down: raw[i] holds the unnormalised
@@ -200,13 +203,23 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     one exact ``ldexp`` per block.  The table is then normalized with
     J_0 + 2*sum J_{2k} = 1.  Values below about 1e-200 of a column's peak,
     above the order its recurrence starts from, and values below the
-    smallest normal float come out as exact zeros.
+    smallest normal float come out as exact zeros.  Columns with
+    |x| < _LEADING_X, x = 0 among them, hold the leading term
+    (x/2)^n / n! of the power series, J_0 = 1, which is J_n to within
+    (x/2)^2 < 3e-17 relative.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros((n_terms, x.size))
-    zero = x == 0.0
-    out[0, zero] = 1.0
-    live = ~zero
+    tiny = np.finfo(np.float64).tiny
+    small = np.abs(x) < _LEADING_X
+    half = 0.5 * x[small]
+    for n in range(n_terms):
+        term = half**n / math.factorial(n)
+        term[np.abs(term) < tiny] = 0.0
+        if not term.any():
+            break
+        out[n, small] = term
+    live = ~small
     if not live.any():
         return out
     raw = np.zeros((n_terms, np.count_nonzero(live)))
@@ -217,7 +230,6 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     # settled rows of a column with many rescales decay through the
     # subnormal range, and a matrix product slows many times over on
     # subnormal operands
-    tiny = np.finfo(np.float64).tiny
     for lo, seen in stored:
         rows = raw[lo : lo + _ORDER_BLOCK]
         np.ldexp(rows, (seen - count) * _RESCALE_EXP, out=rows)

@@ -11,8 +11,10 @@ from fanbeam import (
     backproject_parallel,
     bst,
     bst_backproject,
+    image_coords,
     polar_to_cartesian,
 )
+from fanbeam._dc import _disk_columns, restore_dc
 
 from conftest import disk_mask, rel_l2
 from oracles import polar_to_cartesian_full_plane
@@ -141,6 +143,43 @@ class TestPolarToCartesian:
         odd = ParallelSinogram(rng.standard_normal((63, 33)), theta_span=2 * math.pi)
         with pytest.raises(ValueError, match="even number of angles"):
             bst_backproject(odd, 32)
+
+
+class TestPolarRows:
+    @pytest.mark.parametrize("n_theta", [2, 4, 6, 8, 10, 64])
+    def test_views_match_the_index_definition(self, n_theta):
+        # the angle indices of the quarter plane need at most n_theta/4 + 2 rows
+        rng = np.random.default_rng(n_theta)
+        data = rng.standard_normal((n_theta, 5)) + 1j * rng.standard_normal((n_theta, 5))
+        for count in range(1, n_theta // 4 + 3):
+            j = np.arange(count)
+            for col, rows in enumerate((j, -j)):
+                ref = data[rows % n_theta] + np.conj(data[(rows + n_theta // 2) % n_theta])
+                np.testing.assert_array_equal(bst._rows(data, count)[:, :, col], ref)
+
+
+class TestRestoreDc:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 127, 255, 1024])
+    def test_row_ranges_pick_the_disk_mask(self, n):
+        x1, x2 = image_coords(n)
+        mask = x1**2 + x2**2 <= 1.0
+        lo = _disk_columns(n)
+        ranges = np.arange(n)[None, :] >= lo[:, None]
+        ranges &= np.arange(n)[None, :] < (n - lo)[:, None]
+        np.testing.assert_array_equal(ranges, mask)
+
+    def test_disk_integral_matches_target(self):
+        rng = np.random.default_rng(17)
+        n = 96
+        p = ParallelSinogram(rng.standard_normal((64, 48)), theta_span=2 * math.pi)
+        img = rng.standard_normal((n, n))
+        out = restore_dc(img, p)
+        x1, x2 = image_coords(n)
+        mask = x1**2 + x2**2 <= 1.0
+        offset = out - img
+        assert np.ptp(offset) < 1e-12
+        target = 2.0 * math.pi / 64 * 2.0 / 47 * np.sum(p.data * 2.0 * np.sqrt(np.maximum(1.0 - p.t_grid**2, 0.0)))
+        assert (2.0 / n) ** 2 * out[mask].sum() == pytest.approx(target, rel=1e-12)
 
 
 class TestCachedResampling:

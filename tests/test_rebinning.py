@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from fanbeam import (
     adjoint_rebin_linear,
     adjoint_rebin_standard,
     apply_tau,
+    backproject,
     linear_to_standard,
     linear_to_standard_adjoint,
+    make_fan_geometry,
     shear_to_theta,
 )
 from fanbeam._interp import bilinear
+from fanbeam.rebinning import _THETA_BLOCK, _adjoint_rebin
 
 
 class TestChangeOfVariables:
@@ -75,6 +79,54 @@ class TestAdjointRebin:
             np.broadcast_to((gamma + geom.gamma_max) / dg, beta.shape),
         ) / np.sqrt(geom.d**2 - t**2)[None, :]
         np.testing.assert_allclose(q.data[inside], direct[inside], atol=1e-12)
+
+
+class TestPerColumnGather:
+    # the fast routes' front end against the general 2-D lookup of the oracles
+    @pytest.mark.parametrize("cls", [StandardFanSinogram, LinearFanSinogram])
+    @pytest.mark.parametrize("d", [1.05, 2.0, 10.0, 50.0])
+    @pytest.mark.parametrize("n_beta, n_det", [(31, 32), (48, 17)])
+    def test_matches_fan_sampler(self, cls, d, n_beta, n_det):
+        geom = make_fan_geometry(d)
+        rng = np.random.default_rng(n_beta * n_det)
+        sino = cls(rng.standard_normal((n_beta, n_det)), geom)
+        n_theta2pi = 2 * _THETA_BLOCK + 45
+        assert n_theta2pi % _THETA_BLOCK
+        theta = 2 * math.pi * np.arange(n_theta2pi) / n_theta2pi
+        for n_t in (24, 25):
+            gamma = np.linspace(-geom.gamma_max, geom.gamma_max, n_t)
+            for t in (np.linspace(-1.0, 1.0, n_t), d * np.sin(gamma)):
+                scale = np.linspace(0.5, 2.0, n_t)
+                got = _adjoint_rebin(sino, t, n_theta2pi, scale)
+                det = sino.detector.det_of_t(t, d)
+                ref = FanSampler(sino).sample(det, theta[:, None] - np.arcsin(t / d))
+                ref *= sino.detector.jacobian(t, d) * scale
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("cls", [StandardFanSinogram, LinearFanSinogram])
+    def test_fast_routes_never_call_the_oracle_sampler(self, geom, cls, monkeypatch):
+        sino = cls(np.random.default_rng(5).standard_normal((32, 33)), geom)
+
+        def refuse(self, det, beta):
+            raise AssertionError("a fast route read the fan through FanSampler.sample")
+
+        monkeypatch.setattr(FanSampler, "sample", refuse)
+        for method in ("bessel", "rebin-bst"):
+            assert np.isfinite(backproject(sino, 32, method).data).all()
+
+    @pytest.mark.parametrize("front_end", ["shear", "adjoint"])
+    def test_peak_memory(self, geom, front_end):
+        # the blocks' temporaries stay small beside the output and the sinogram
+        n = 512
+        g = LinearFanSinogram(np.random.default_rng(9).standard_normal((n, n)), geom)
+        run = (lambda: shear_to_theta(g, 2 * n)) if front_end == "shear" else (lambda: adjoint_rebin_linear(g, n, 2 * n))
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (2 * n * n * 8 + g.data.nbytes)
 
 
 class TestGeometrySwitch:

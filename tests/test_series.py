@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,20 @@ class TestBesselTable:
         vals = _bessel_matrix(x, n_terms)
         assert np.isfinite(vals).all()
         np.testing.assert_allclose(vals, jv(np.arange(n_terms)[:, None], x[None, :]), rtol=0, atol=1e-12)
+
+    def test_tiny_arguments_take_the_leading_term(self):
+        # the recurrence's first steps overflow below |x| ~ 2e-154; below 1e-8
+        # J_n is its leading term (x/2)^n / n! to rounding, zero once that underflows
+        tiny = np.finfo(np.float64).tiny
+        x = np.geomspace(1e-308, 1e-100, 2000)
+        x = np.concatenate([x, -x, [1e-9, -3e-9]])
+        vals = _bessel_matrix(x, 4)
+        assert np.isfinite(vals).all()
+        for n in range(4):
+            lead = np.array([float((mpmath.mpf(v) / 2) ** n / mpmath.factorial(n)) for v in x])
+            normal = np.abs(lead) >= tiny
+            np.testing.assert_allclose(vals[n, normal], lead[normal], rtol=1e-15, atol=0)
+            assert not vals[n, ~normal].any()
 
     def test_no_subnormal_entries(self, geom):
         # a product over subnormal operands runs many times slower, so the
