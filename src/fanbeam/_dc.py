@@ -22,6 +22,8 @@ from .core import ParallelSinogram
 
 __all__ = ["disk_integral_target", "restore_dc"]
 
+_ROW_BLOCK = 64  # sinogram rows per block of the partner mask
+
 
 def _chord(t):
     return 2.0 * np.sqrt(np.maximum(1.0 - np.asarray(t, dtype=np.float64) ** 2, 0.0))
@@ -36,16 +38,27 @@ def disk_integral_target(sino) -> float:
         return float(weight * dt * np.sum(sino.data @ _chord(sino.t_grid)))
     geom = sino.geometry
     det = sino.det_grid
-    t = sino.detector.t(det, geom.d)
-    angle = sino.detector.angle(det, geom.d)
+    chord = _chord(sino.detector.t(det, geom.d))
     dcell = (2.0 * sino.detector.half_width(geom) / (sino.n_det - 1)) * geom.beta_span / sino.n_beta
     # full-circle integral of the symmetry-extended sinogram against the
     # disk chord: every measured cell appears twice except those whose
-    # symmetry partner is itself inside the measured window
+    # symmetry partner (beta + 2*angle + pi) mod 2*pi is itself inside the
+    # measured window.  Before the mod the partner grows along a row with
+    # the angle, so a row holds such cells only if its first or its last
+    # cell does; only those rows are masked, in blocks
+    twice = 2.0 * float(sino.data.sum(axis=0) @ chord)
     beta = geom.beta_span * np.arange(sino.n_beta) / sino.n_beta
-    partner = np.mod(beta[:, None] + 2.0 * angle[None, :] + math.pi, 2.0 * math.pi)
-    twice = np.where(partner < geom.beta_span, 1.0, 2.0)
-    return float(dcell * np.sum(sino.data * twice * _chord(t)[None, :]))
+    shift = 2.0 * sino.detector.angle(det, geom.d)
+
+    def partner_inside(rows, cols):
+        return np.mod(beta[rows, None] + shift[cols] + math.pi, 2.0 * math.pi) < geom.beta_span
+
+    edge = np.flatnonzero(partner_inside(slice(None), [0, -1]).any(axis=1))
+    once = 0.0
+    for lo in range(0, edge.size, _ROW_BLOCK):
+        rows = edge[lo : lo + _ROW_BLOCK]
+        once += float(np.sum(np.where(partner_inside(rows, slice(None)), sino.data[rows], 0.0) @ chord))
+    return dcell * (twice - once)
 
 
 def _disk_columns(n: int) -> np.ndarray:

@@ -84,10 +84,10 @@ def _read_parallel(path) -> ParallelSinogram:
 def _cmd_project(args) -> int:
     if args.d <= 1.0:
         raise InputError(f"source distance d={args.d} must exceed 1 (unit-disk support)")
+    geom = make_fan_geometry(args.d)
     p = _read_parallel(args.input)
     if args.filtered:
         p = ramp_filter(p, args.cutoff)
-    geom = make_fan_geometry(args.d)
     n_det = args.n_det or p.n_t
     n_beta = args.n_beta or p.n_theta
     sino = _rebin_to_fan(p, geom, FAN_SINOGRAMS[args.geometry], n_det, n_beta)

@@ -131,6 +131,8 @@ class FanGeometry:
     def __post_init__(self):
         if not (math.isfinite(self.d) and self.d > 1.0):
             raise GeometryError(f"source distance d={self.d} must be finite and exceed the unit-disk radius")
+        if not math.isfinite(self.d * self.d):
+            raise GeometryError(f"source distance d={self.d} is too large: s_max = d/sqrt(d*d - 1) overflows")
         gamma_max = math.asin(1.0 / self.d)
         s_max = self.d / math.sqrt(self.d * self.d - 1.0)
         object.__setattr__(self, "gamma_max", gamma_max)

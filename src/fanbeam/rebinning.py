@@ -83,7 +83,13 @@ class FanSampler:
         # the partner angle lies in [0, beta_span] exactly, so clamp the
         # roundoff of beta_span - pi
         wrap_beta = np.clip(2.0 * self.detector.angle(det, self.d) + (self.beta_span - math.pi), 0.0, self.beta_span)
-        wrap = bilinear(data, wrap_beta / self.dbeta, np.arange(n_det)[::-1].astype(np.float64))
+        u = wrap_beta / self.dbeta
+        wrap = bilinear(data, u, np.arange(n_det)[::-1].astype(np.float64))
+        # a partner past the last stored row lies between that row and the
+        # partner's own wrap value, whose angle is inside the stored rows
+        past = u > n_beta - 1.0
+        f = u[past] - (n_beta - 1.0)
+        wrap[past] = data[-1, ::-1][past] * (1.0 - f) + wrap[::-1][past] * f
         self.ext = np.vstack([data, wrap])
 
     def sample(self, det, beta):
@@ -110,8 +116,10 @@ def _wrap_extended(sino: FanSinogram, dbeta: float, det: np.ndarray) -> np.ndarr
 
     The wrap row is the symmetry partner at -det, the reversed column, at
     beta = 2*angle(det) + beta_span - pi.  That beta lies in
-    [0, beta_span] (its roundoff is clamped); one past the last stored
-    row reads zero.
+    [0, beta_span] (its roundoff is clamped).  Past the last stored row
+    the partner interpolates between that row and the reversed column's
+    own wrap value, whose beta, 4*gamma_max less this one, is inside the
+    stored rows.
     """
     geom = sino.geometry
     data = sino.data
@@ -123,7 +131,10 @@ def _wrap_extended(sino: FanSinogram, dbeta: float, det: np.ndarray) -> np.ndarr
     rev = np.arange(data.shape[1])[::-1]
     ext = np.empty((n_beta + 1, data.shape[1]))
     ext[:n_beta] = data
-    ext[n_beta] = np.where(u <= n_beta - 1.0 + _EDGE_TOL, data[row, rev] * (1.0 - fu) + data[row + 1, rev] * fu, 0.0)
+    wrap = ext[n_beta]
+    np.add(data[row, rev] * (1.0 - fu), data[row + 1, rev] * fu, out=wrap)
+    past = np.flatnonzero(u > n_beta - 1.0)
+    wrap[past] += (u[past] - (n_beta - 1.0)) * (wrap[rev[past]] - wrap[past])
     return ext
 
 

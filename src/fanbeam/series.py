@@ -54,12 +54,11 @@ complete it multiplies the block into K's accumulators against the
 hats' weights of those orders, which come by angle addition from one
 table of cos(r gamma_j) and sin(r gamma_j), r < 256, per build:
 
-* scale: K is linear in the table, so when the recurrence rescales a
-  column by 2**-400, which it does only between two blocks, the column's
-  accumulated sum is rescaled with it; a block's rows share one scale
-  per column and none is subnormal, as a column grows from its seed 1.0
-  and a rescale leaves it above 1; the normalisation J_0 + 2*sum J_{2k}
-  divides each column once, at the end;
+* scale: each column starts where J_n itself is below 1e-200, so it
+  grows from its seed 1.0 by less than 2**700 and never needs
+  rescaling, and none of its values is subnormal; K is linear in the
+  table, so the normalisation J_0 + 2*sum J_{2k} divides each of K's
+  columns once, at the end;
 * band: column k skips an order block once the envelope
   (x_k/2)^n / n!, x_k = D sigma_k, lies below its value at
   (x_max, n_terms) for every order of the block, which the truncation
@@ -70,7 +69,6 @@ table of cos(r gamma_j) and sin(r gamma_j), r < 256, per build:
 
 from __future__ import annotations
 
-import bisect
 import math
 from functools import lru_cache
 
@@ -90,25 +88,51 @@ __all__ = [
     "linear_fan_backproject",
 ]
 
-_RESCALE_EXP = 400  # between blocks, a column whose carry rows exceed 2**400 is scaled by 2**-400
-_LOG_START = math.log(1e-200)  # each column's recurrence starts where its envelope falls below this
+_LOG_START = math.log(1e-200)  # each column's recurrence starts where J_n is below this
 _ORDER_BLOCK = 256  # orders per block of the hat weights, the kernel build and the table flush
 _LEADING_X = 1e-8  # below this |x|, J_n(x) is its leading term (x/2)^n / n! to rounding
+# the longest series the route builds: it admits D = 50 at n = 2048 (218,631
+# terms, a 5 s kernel build on 2 cores) and D = 10 at n = 4096 (87,461 terms, 7 s);
+# the recurrence alone runs about 1.4 us per order, so a far source at small n
+# would otherwise run for hours
+_MAX_TERMS = 2**18
+
+
+def _first_below(lo: int, above) -> int:
+    """First order n > lo where ``above(n)`` fails, for a predicate that holds up to some order and fails past it."""
+    # bracket the first failing order by doubling steps, then bisect the bracket
+    step = 1
+    while above(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step  # the predicate fails at hi and holds at lo, unless lo is where the search began
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
 
 
 def _envelope_order(x: float, log_bound: float) -> int:
     """First order n past the peak of the envelope (x/2)^n / n!, x > 0, where it is below exp(log_bound)."""
     log_half = math.log(x / 2.0)
+    # the envelope peaks at ceil(x/2) - 1 and decreases after it
+    return _first_below(math.ceil(x / 2.0) - 2, lambda n: n * log_half - math.lgamma(n + 1.0) >= log_bound)
+
+
+def _start_order(x: float) -> int:
+    """First order n > x, x > 0, where Debye's leading term for J_n(x) is below exp(_LOG_START).
+
+    With cosh(alpha) = n/x that term is exp(-n (alpha - tanh alpha)) /
+    sqrt(2 pi n tanh alpha) (DLMF 10.19.6), decreasing in n past x.  At
+    the first order past x, J_n is about x**(-1/3) and far above the
+    bound, so the search evaluates only orders above it.
+    """
 
     def above(n: int) -> bool:
-        return n * log_half - math.lgamma(n + 1.0) >= log_bound
+        alpha = math.acosh(n / x)
+        tanh = math.tanh(alpha)
+        return -n * (alpha - tanh) - 0.5 * math.log(2.0 * math.pi * n * tanh) >= _LOG_START
 
-    # the envelope peaks at ceil(x/2) - 1 and decreases after it: bracket
-    # the first order below the bound by doubling steps, then bisect the bracket
-    lo, step = max(0, math.ceil(x / 2.0) - 1), 1
-    while above(lo + step):
-        lo, step = lo + step, 2 * step
-    return lo + bisect.bisect_left(range(lo, lo + step), True, key=lambda m: not above(m))
+    return _first_below(math.floor(x) + 1, above)
 
 
 def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
@@ -134,37 +158,30 @@ def _miller_blocks(x: np.ndarray, n_terms: int):
     """Downward (Miller) recurrence for J_n(x), x != 0, over blocks of orders.
 
     Column k starts at 1.0, with a zero above it, at the order N_k of
-    :func:`_envelope_order` at |x_k| and 1e-200: there the envelope, a
-    bound on |J_n(x_k)|, is below 1e-200, about that fraction of the
-    column's peak, and the orders above N_k stay exact zeros.  The
-    recurrence runs down in place through a buffer of _ORDER_BLOCK + 2
-    rows, row i holding order lo + i of the block.  Only between blocks, a
-    column whose two carry rows exceed 2**400 is scaled by 2**-400, with
-    its partial normalisation sum J_0 + 2*sum J_{2k}.  No block can
-    overflow, because the start bounds a column's growth: up to its first
-    rescale a column stays below 2**709 (the seed sits about 2**-664
-    under the envelope, so a small |x_k| peaks near 2**664), and after it
-    a block multiplies the values by less than 2**320, so a carry below
-    2**400 stays below 2**720.  Both bounds are measured over
-    1e-8 <= |x| <= 2e5; below |x| ~ 2e-154 the first steps can overflow,
-    so :func:`_bessel_matrix` takes columns below _LEADING_X from their
-    leading term instead.
+    :func:`_start_order` at |x_k|, where J_n(x_k) is below 1e-200, and
+    the orders above N_k stay exact zeros.  The recurrence runs down in
+    place through a buffer of _ORDER_BLOCK + 2 rows, row i holding order
+    lo + i of the block.  A column grows from its seed by about the
+    inverse of J_{N_k}, so it needs no rescaling: over
+    1e-8 <= |x| <= 1e6 no value and no normalisation sum exceeds 2**695,
+    far below the float limit 2**1023.  A step multiplies a column by
+    about 2n/|x|, so the start can undershoot the bound by that much: the
+    growth passes 2**720 below |x| ~ 2e-19 and overflows below
+    |x| ~ 3e-155, and :func:`_bessel_matrix` takes columns below
+    _LEADING_X from their leading term instead.
 
-    Yields (lo, raw, count, norm) for the blocks of orders n = lo..hi-1,
+    Yields (lo, raw, norm) for the blocks of orders n = lo..hi-1,
     hi <= n_terms, from the top down: raw[i] holds the unnormalised
-    J_{lo+i} of each column, scaled by 2**(-400 * count), count the
-    rescales of each column so far, and norm the normalisation sum, at the
-    same scale and complete at the last block (lo = 0).  The recurrence
-    goes on to overwrite all three arrays.
+    J_{lo+i} of each column, and norm the normalisation sum
+    J_0 + 2*sum J_{2k} at the same scale, complete at the last block
+    (lo = 0).  The recurrence goes on to overwrite both arrays.
     """
-    starts = np.array([_envelope_order(v, _LOG_START) for v in np.abs(x).tolist()])
+    starts = np.array([_start_order(v) for v in np.abs(x).tolist()])
     seeds = {n: np.flatnonzero(starts == n) for n in np.unique(starts).tolist()}
     top = int(starts.max())
     rows = np.zeros((_ORDER_BLOCK + 2, x.size))
     row = list(rows)
-    carry = rows[_ORDER_BLOCK:]
     norm = np.zeros(x.size)
-    count = np.zeros(x.size, dtype=np.int32)  # rescales of each column so far
     coef = np.empty((_ORDER_BLOCK + 1, x.size))
     lo = top - top % _ORDER_BLOCK
     np.divide(2.0 * np.arange(lo, lo + _ORDER_BLOCK + 1, dtype=np.float64)[:, None], x, out=coef)
@@ -178,15 +195,11 @@ def _miller_blocks(x: np.ndarray, n_terms: int):
             norm += 2.0 * row[i]
         if i == 0:
             if lo < n_terms:
-                yield lo, rows[: min(_ORDER_BLOCK, n_terms - lo)], count, norm
+                yield lo, rows[: min(_ORDER_BLOCK, n_terms - lo)], norm
             if n == 0:
                 return
             # the two orders the next block down starts from
-            carry[:] = rows[:2]
-            big = np.abs(carry).max(axis=0) > 2.0**_RESCALE_EXP
-            np.ldexp(carry, -_RESCALE_EXP * big, out=carry)
-            np.ldexp(norm, -_RESCALE_EXP * big, out=norm)
-            count += big
+            rows[_ORDER_BLOCK:] = rows[:2]
             lo -= _ORDER_BLOCK
             i = _ORDER_BLOCK
             np.divide(2.0 * np.arange(lo, lo + _ORDER_BLOCK + 1, dtype=np.float64)[:, None], x, out=coef)
@@ -198,12 +211,10 @@ def _miller_blocks(x: np.ndarray, n_terms: int):
 def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     """J_n(x) for n = 0..n_terms-1 by normalized downward recurrence.
 
-    The blocks of :func:`_miller_blocks` are stacked; a block owes every
-    rescale of its columns after it was yielded, settled at the end with
-    one exact ``ldexp`` per block.  The table is then normalized with
-    J_0 + 2*sum J_{2k} = 1.  Values below about 1e-200 of a column's peak,
-    above the order its recurrence starts from, and values below the
-    smallest normal float come out as exact zeros.  Columns with
+    The blocks of :func:`_miller_blocks` are stacked and normalized once
+    with J_0 + 2*sum J_{2k} = 1.  Values above the order a column's
+    recurrence starts from, where J_n is below 1e-200, and values below
+    the smallest normal float come out as exact zeros.  Columns with
     |x| < _LEADING_X, x = 0 among them, hold the leading term
     (x/2)^n / n! of the power series, J_0 = 1, which is J_n to within
     (x/2)^2 < 3e-17 relative.
@@ -223,18 +234,12 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     if not live.any():
         return out
     raw = np.zeros((n_terms, np.count_nonzero(live)))
-    stored = []  # (lo, count) when each block was yielded
-    for lo, rows, count, norm in _miller_blocks(x[live], n_terms):
+    for lo, rows, norm in _miller_blocks(x[live], n_terms):
         raw[lo : lo + rows.shape[0]] = rows
-        stored.append((lo, count.copy()))
-    # settled rows of a column with many rescales decay through the
-    # subnormal range, and a matrix product slows many times over on
-    # subnormal operands
-    for lo, seen in stored:
-        rows = raw[lo : lo + _ORDER_BLOCK]
-        np.ldexp(rows, (seen - count) * _RESCALE_EXP, out=rows)
-        rows /= norm
-        rows[np.abs(rows) < tiny] = 0.0
+    raw /= norm
+    # the high orders of a column decay through the subnormal range, and a
+    # matrix product slows many times over on subnormal operands
+    raw[np.abs(raw) < tiny] = 0.0
     out[:, live] = raw
     return out
 
@@ -424,9 +429,8 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
         log_half_x = np.log(half_x)
         # the envelope (x/2)^n / n! at (x_max, n_terms), which choose_truncation holds below eps
         log_floor = n_terms * log_half_x[-1] - math.lgamma(n_terms + 1.0)
-    seen = np.zeros(n_sigma - 1, dtype=np.int32)  # the rescales applied to the accumulators
     blocks = _miller_blocks(geom.d * sigma[1:], n_terms) if n_sigma > 1 else ()
-    for lo, raw, count, norm in blocks:
+    for lo, raw, norm in blocks:
         hi = lo + raw.shape[0]
         # band: column k skips the block when its envelope, decreasing in n
         # past x_k/2, is below the floor at n = lo; the envelope grows with
@@ -434,14 +438,6 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
         with np.errstate(invalid="ignore"):
             below = (lo >= half_x) & (lo * log_half_x - math.lgamma(lo + 1.0) < log_floor)
         c0 = max(int(np.count_nonzero(below)), 1) - 1
-        # K is linear in the table: the rescales of a column since the last
-        # block scale its accumulated row (zero before the column enters the band)
-        moved = np.flatnonzero(count[c0:] != seen[c0:]) + c0
-        if moved.size:
-            owed = ((seen[moved] - count[moved]) * _RESCALE_EXP)[:, None]
-            re[moved + 1] = np.ldexp(re[moved + 1], owed)
-            im[moved + 1] = np.ldexp(im[moved + 1], owed)
-        seen[:] = count
         even, odd = _hat_blocks(lo, hi, gamma, h, n_gamma, trig)
         re[c0 + 1 :] += raw[0::2, c0:].T @ even.T
         im[c0 + 1 :] += raw[1::2, c0:].T @ odd.T
@@ -460,6 +456,11 @@ def _detector_field(sino: FanSinogram, n: int, eps: float) -> np.ndarray:
     """q on t_j = -1 + 2j/n, shape (2 n_beta, n), from the series at sigma_k = k*pi."""
     geom = sino.geometry
     n_terms = choose_truncation(geom, math.pi * n / 2.0, eps)
+    if n_terms > _MAX_TERMS:
+        raise ValueError(
+            f"the series needs {n_terms} terms at d={geom.d} and n={n}, more than its limit {_MAX_TERMS}; "
+            "use a smaller d or n, or another method"
+        )
     Z = shear_to_theta(sino, 2 * sino.n_beta)
     K = _series_kernel(geom, n_terms, n // 2 + 1, sino.n_det)
     # S = Z K as one real GEMM against the interleaved real and imaginary parts of K

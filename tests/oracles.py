@@ -211,11 +211,12 @@ def kernel_by_quadrature(gamma_max, n_gamma, x, nodes_per_cell=12):
 def bessel_matrix_rescale_loop(x, n_terms):
     """J_n(x), n < n_terms, by normalized downward recurrence, rescaling stored rows as it goes.
 
-    Column k starts at 1.0 at the first order past the peak of its
-    envelope (|x_k|/2)^n / n!, found by a linear scan, where the envelope
-    is below 1e-200.  Each time a column nears overflow, its running
-    values and every row already stored are multiplied by 2**-400 on the
-    spot.
+    Column k starts at 1.0 at the first order n > |x_k|, found by a
+    linear scan, where Debye's leading term for J_n(|x_k|),
+    exp(-n (a - tanh a)) / sqrt(2 pi n tanh a) with a = arccosh(n/|x_k|),
+    is below 1e-200.  Should a column near overflow, its running values
+    and every row already stored are multiplied by 2**-400 on the spot;
+    from that start no column grows that far.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros((n_terms, x.size))
@@ -227,8 +228,12 @@ def bessel_matrix_rescale_loop(x, n_terms):
     xl = x[live]
     starts = []
     for v in np.abs(xl):
-        n = max(0, math.ceil(v / 2.0) - 1)
-        while n * math.log(v / 2.0) - math.lgamma(n + 1.0) >= math.log(1e-200):
+        n = math.floor(v) + 1
+        while True:
+            root = math.sqrt((n - v) * (n + v))  # n tanh a
+            a = math.log((n + root) / v)
+            if -(n * a - root) - 0.5 * math.log(2.0 * math.pi * root) < math.log(1e-200):
+                break
             n += 1
         starts.append(n)
     starts = np.array(starts)

@@ -261,25 +261,47 @@ class TestBackprojectCommand:
         assert rel_l2(read_grid(out).data, read_grid(truth).data) < 0.15
 
 
-# one case per class of input error: the bad file or option, from the module's fan grid file and a scratch directory
+def backproject_argv(fan, *options, geometry="linear", n=32):
+    return ("backproject", "--in", fan, "--geometry", geometry, "--n", n, *options)
+
+
+def far_standard_grid(path, d):
+    """A small standard fan grid file whose axes give source distance ``d``."""
+    gamma_max = math.asin(1.0 / d)
+    write_grid(path, np.ones((8, 8)), (0.0, math.pi + 2.0 * gamma_max), (-gamma_max, gamma_max))
+    return path
+
+
+# one case per class of input error: the command line without --out, from the
+# module's parallel and fan grid files and a scratch directory
 INPUT_ERRORS = {
-    "unknown-method": lambda fan, tmp: (fan, "--method", "warp"),
-    "non-positive-size": lambda fan, tmp: (fan, "--n", 0),
-    "missing-file": lambda fan, tmp: (tmp / "none.grd",),
-    "unreadable-file": lambda fan, tmp: (tmp,),
-    "malformed-header": lambda fan, tmp: (patched_copy(fan, tmp / "magic.grd", 0, b"NOTAGRID"),),
-    "nan-payload": lambda fan, tmp: (patched_copy(fan, tmp / "nan.grd", 49, np.full(3, np.nan).tobytes()),),
-    "nan-eps": lambda fan, tmp: (fan, "--method", "bessel", "--eps", "nan"),
-    "one-row-fan-grid": lambda fan, tmp: (one_row_copy(fan, tmp / "one_row.grd"),),
+    "unknown-method": lambda par, fan, tmp: backproject_argv(fan, "--method", "warp"),
+    "non-positive-size": lambda par, fan, tmp: backproject_argv(fan, "--n", 0),
+    "missing-file": lambda par, fan, tmp: backproject_argv(tmp / "none.grd"),
+    "unreadable-file": lambda par, fan, tmp: backproject_argv(tmp),
+    "malformed-header": lambda par, fan, tmp: backproject_argv(patched_copy(fan, tmp / "magic.grd", 0, b"NOTAGRID")),
+    "nan-payload": lambda par, fan, tmp: backproject_argv(
+        patched_copy(fan, tmp / "nan.grd", 49, np.full(3, np.nan).tobytes())
+    ),
+    "nan-eps": lambda par, fan, tmp: backproject_argv(fan, "--method", "bessel", "--eps", "nan"),
+    "one-row-fan-grid": lambda par, fan, tmp: backproject_argv(one_row_copy(fan, tmp / "one_row.grd")),
+    # d*d overflows, so s_max = d/sqrt(d*d - 1) cannot be formed
+    "overflowing-distance": lambda par, fan, tmp: ("project", "--in", par, "--geometry", "linear", "--d", 1e300),
+    # the series would need about 1e21 and 3e13 terms
+    "series-too-long": lambda par, fan, tmp: backproject_argv(far_standard_grid(tmp / "far.grd", 1e20), geometry="standard"),
+    "series-too-long-small-n": lambda par, fan, tmp: backproject_argv(
+        far_standard_grid(tmp / "far.grd", 1e12), geometry="standard", n=16
+    ),
 }
 
 
 @pytest.mark.parametrize("case", INPUT_ERRORS)
-def test_input_errors_exit_2_with_a_message(linear_file, tmp_path, case):
-    # run in a child interpreter, so what reaches stderr is what a user sees
-    path, *options = INPUT_ERRORS[case](linear_file, tmp_path)
+def test_input_errors_exit_2_with_a_message(parallel_file, linear_file, tmp_path, case):
+    # run in a child interpreter, so what reaches stderr is what a user sees;
+    # every case is refused before any work, within seconds
+    argv = INPUT_ERRORS[case](parallel_file, linear_file, tmp_path)
     out = tmp_path / "x.grd"
-    done = cli_process("backproject", "--in", path, "--geometry", "linear", "--n", 32, *options, "--out", out)
+    done = cli_process(*argv, "--out", out, timeout=30)
     assert done.returncode == 2
     assert "error" in done.stderr
     assert "Traceback" not in done.stderr

@@ -38,18 +38,31 @@ class TestChangeOfVariables:
 
 
 class TestAdjointRebin:
-    def test_constant_standard_gives_jacobian(self, geom):
-        w = StandardFanSinogram(np.ones((48, 32)), geom)
+    # the wrap row of few beta rows at a near source reads partners past the last stored row
+    WRAP_CASES = pytest.mark.parametrize("d, n_beta", [(10.0, 48), (1.05, 8), (1.01, 16)])
+
+    @WRAP_CASES
+    def test_constant_standard_gives_jacobian(self, d, n_beta):
+        geom = make_fan_geometry(d)
+        w = StandardFanSinogram(np.ones((n_beta, 32)), geom)
         q = adjoint_rebin_standard(w, 25, 64)
         t = q.t_grid
         np.testing.assert_allclose(q.data, np.broadcast_to(1 / np.sqrt(geom.d**2 - t**2), q.data.shape), atol=1e-12)
         assert q.full_circle
 
-    def test_constant_linear_gives_jacobian(self, geom):
-        g = LinearFanSinogram(np.ones((48, 32)), geom)
+    @WRAP_CASES
+    def test_constant_linear_gives_jacobian(self, d, n_beta):
+        geom = make_fan_geometry(d)
+        g = LinearFanSinogram(np.ones((n_beta, 32)), geom)
         q = adjoint_rebin_linear(g, 25, 64)
         t = q.t_grid
         np.testing.assert_allclose(q.data, np.broadcast_to(geom.d**3 / (geom.d**2 - t**2) ** 1.5, q.data.shape), atol=1e-12)
+
+    @WRAP_CASES
+    @pytest.mark.parametrize("cls", [StandardFanSinogram, LinearFanSinogram])
+    def test_sampler_wrap_row_of_a_constant(self, cls, d, n_beta):
+        sampler = FanSampler(cls(np.ones((n_beta, 32)), make_fan_geometry(d)))
+        np.testing.assert_allclose(sampler.ext[-1], 1.0, rtol=1e-14)
 
     def test_central_detector_column(self, geom, standard128):
         # gamma(0) = 0: the t = 0 column is w(0, theta)/D on the measured range

@@ -160,12 +160,22 @@ class TestBesselTable:
         ],
     )
     def test_build_equals_rescale_loop(self, x, n_terms):
-        # settling every rescale at the end with one ldexp is exact; the
-        # build then flushes subnormal values to zero
+        # the same recurrence from the same starts: the loop's rescale never
+        # fires, and the build then flushes subnormal values to zero
         vals = _bessel_matrix(x, n_terms)
         ref = bessel_matrix_rescale_loop(x, n_terms)
         ref[np.abs(ref) < np.finfo(np.float64).tiny] = 0.0
         np.testing.assert_array_equal(vals, ref)
+
+    def test_recurrence_needs_no_rescale(self):
+        # each column starts where J_n is below 1e-200, so no value of any block and no
+        # normalisation sum grows past 2**720, far below the float limit 2**1023
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 60), [1.0, 3.0, 31.0, 1024.0]])
+        live = x[np.abs(x) >= series._LEADING_X]  # the columns _bessel_matrix runs the recurrence on
+        largest = 0.0
+        for _, raw, norm in series._miller_blocks(live, 10**7):  # every block, down from the highest start
+            largest = max(largest, np.abs(raw).max(), np.abs(norm).max())
+        assert np.isfinite(largest) and largest <= 2.0**720
 
 
 class TestCoefficients:
