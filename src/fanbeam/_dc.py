@@ -7,58 +7,27 @@ forward A,
 
     integral over the unit disk of (B* y) = < y, A 1_disk >
 
-and A 1_disk is the analytic sinogram of the unit disk (chord lengths),
-known in closed form in every parametrization.  The offset is chosen so
-the discrete disk integral of the output matches that target.
+and A 1_disk is the analytic sinogram of the unit disk: at a ray of
+parallel offset t, the chord length 2 sqrt(1 - t^2), in every
+parametrization.  :func:`disk_integral_target` sums sampled data against
+those chords, and each route passes its own samples and the measure of
+one cell: ``rebin-bst`` the full-circle parallel field q = M* y its back
+end transforms (B_fan = B_par M*, so the identity holds on q), ``bessel``
+the measured fan cells, where its q would be too coarse.  The offset is
+chosen so the discrete disk integral of the output matches that target.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .core import ParallelSinogram
 
 __all__ = ["disk_integral_target", "restore_dc"]
 
-_ROW_BLOCK = 64  # sinogram rows per block of the partner mask
 
-
-def _chord(t):
-    return 2.0 * np.sqrt(np.maximum(1.0 - np.asarray(t, dtype=np.float64) ** 2, 0.0))
-
-
-def disk_integral_target(sino) -> float:
-    """< sinogram, forward projection of the unit disk > in its own geometry."""
-    if isinstance(sino, ParallelSinogram):
-        dt = 2.0 / (sino.n_t - 1)
-        dtheta = sino.theta_span / sino.n_theta
-        weight = dtheta if sino.full_circle else 2.0 * dtheta
-        return float(weight * dt * np.sum(sino.data @ _chord(sino.t_grid)))
-    geom = sino.geometry
-    det = sino.det_grid
-    chord = _chord(sino.detector.t(det, geom.d))
-    dcell = (2.0 * sino.detector.half_width(geom) / (sino.n_det - 1)) * geom.beta_span / sino.n_beta
-    # full-circle integral of the symmetry-extended sinogram against the
-    # disk chord: every measured cell appears twice except those whose
-    # symmetry partner (beta + 2*angle + pi) mod 2*pi is itself inside the
-    # measured window.  Before the mod the partner grows along a row with
-    # the angle, so a row holds such cells only if its first or its last
-    # cell does; only those rows are masked, in blocks
-    twice = 2.0 * float(sino.data.sum(axis=0) @ chord)
-    beta = geom.beta_span * np.arange(sino.n_beta) / sino.n_beta
-    shift = 2.0 * sino.detector.angle(det, geom.d)
-
-    def partner_inside(rows, cols):
-        return np.mod(beta[rows, None] + shift[cols] + math.pi, 2.0 * math.pi) < geom.beta_span
-
-    edge = np.flatnonzero(partner_inside(slice(None), [0, -1]).any(axis=1))
-    once = 0.0
-    for lo in range(0, edge.size, _ROW_BLOCK):
-        rows = edge[lo : lo + _ROW_BLOCK]
-        once += float(np.sum(np.where(partner_inside(rows, slice(None)), sino.data[rows], 0.0) @ chord))
-    return dcell * (twice - once)
+def disk_integral_target(data: np.ndarray, t: np.ndarray, cell: float) -> float:
+    """< data, A 1_disk >: each sample times the chord at its column's ray offset t[j] and the cell measure ``cell``."""
+    chord = 2.0 * np.sqrt(np.maximum(1.0 - np.asarray(t, dtype=np.float64) ** 2, 0.0))
+    return float(cell * np.sum(data @ chord))
 
 
 def _disk_columns(n: int) -> np.ndarray:
@@ -75,11 +44,10 @@ def _disk_columns(n: int) -> np.ndarray:
     return np.floor((n - 1.0 - np.sqrt(n * n - a * a)) / 2.0).astype(np.intp) + 1
 
 
-def restore_dc(img: np.ndarray, sino) -> np.ndarray:
-    """``img`` plus the constant that makes its disk integral match :func:`disk_integral_target`."""
+def restore_dc(img: np.ndarray, target: float) -> np.ndarray:
+    """``img`` plus the constant that makes its disk integral ``target`` (see :func:`disk_integral_target`)."""
     n = img.shape[0]
     lo = _disk_columns(n)
     h2 = (2.0 / n) ** 2
     current = h2 * sum(float(row[first : n - first].sum()) for row, first in zip(img, lo.tolist()))
-    target = disk_integral_target(sino)
     return img + (target - current) / (h2 * int(np.sum(n - 2 * lo)))

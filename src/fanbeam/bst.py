@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from ._dc import restore_dc
+from ._dc import disk_integral_target, restore_dc
 from ._interp import _EDGE_TOL
 from .core import ImageGrid, ParallelSinogram, PolarSpectrum
 
@@ -224,20 +224,17 @@ def spectrum_to_image(spectrum: PolarSpectrum, n: int) -> np.ndarray:
     return img
 
 
-def _even_extend(p: ParallelSinogram) -> ParallelSinogram:
-    ext = np.vstack([p.data, p.data[:, ::-1]])
-    return ParallelSinogram(ext, theta_span=2.0 * math.pi)
-
-
 def bst_backproject(p: ParallelSinogram, n: int) -> ImageGrid:
     """Backproject a parallel sinogram through the polar frequency domain.
 
     Half-range input is extended to [0, 2*pi) by evenness, which realizes
     the factor 2 of the direct formula.  The zero frequency is restored
-    from the sinogram's mass (:func:`fanbeam._dc.restore_dc`).
+    from the mass of the full-circle sinogram the back end transforms
+    (:mod:`fanbeam._dc`).
     """
-    q = p if p.full_circle else _even_extend(p)
+    q = p if p.full_circle else ParallelSinogram(np.vstack([p.data, p.data[:, ::-1]]), theta_span=2.0 * math.pi)
     sigma_max = math.pi * n / 2.0
     spec = sinogram_polar_spectrum(q, sigma_max)
     img = spectrum_to_image(spec, n)
-    return ImageGrid(restore_dc(img, p))
+    cell = q.theta_span / q.n_theta * (2.0 / (q.n_t - 1))
+    return ImageGrid(restore_dc(img, disk_integral_target(q.data, q.t_grid, cell)))

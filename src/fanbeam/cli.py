@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bst import bst_backproject
-from .core import FAN_SINOGRAMS, FanSinogram, GeometryError, ParallelSinogram, make_fan_geometry
+from .core import FAN_SINOGRAMS, FanSinogram, ParallelSinogram, make_fan_geometry
 from .filtering import backproject, fbp_normalization, ramp_filter
 from .forward import _rebin_to_fan, rebin_to_linear
 from .gridfile import read_grid, write_grid
@@ -24,7 +24,7 @@ from .phantom import analytic_radon, load_ellipse_config, rasterize, shepp_logan
 from .rebinning import adjoint_rebin_linear
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """User-facing input problem; maps to exit code 2."""
 
 
@@ -52,8 +52,6 @@ def _load_phantom(config):
         return load_ellipse_config(config)
     except OSError as exc:
         raise InputError(f"cannot read phantom config: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _cmd_phantom(args) -> int:
@@ -82,16 +80,19 @@ def _read_parallel(path) -> ParallelSinogram:
 
 
 def _cmd_project(args) -> int:
-    if args.d <= 1.0:
-        raise InputError(f"source distance d={args.d} must exceed 1 (unit-disk support)")
     geom = make_fan_geometry(args.d)
+    sinogram = FAN_SINOGRAMS[args.geometry]
+    half_width = sinogram.detector.half_width(geom)
+    # the range backproject accepts when it reads the file back
+    lo, hi = sinogram.detector.half_width_range
+    if not (lo < half_width < hi):
+        raise InputError(f"d={args.d} gives a {args.geometry} detector half-width of {half_width}, outside ({lo}, {hi})")
     p = _read_parallel(args.input)
     if args.filtered:
         p = ramp_filter(p, args.cutoff)
     n_det = args.n_det or p.n_t
     n_beta = args.n_beta or p.n_theta
-    sino = _rebin_to_fan(p, geom, FAN_SINOGRAMS[args.geometry], n_det, n_beta)
-    half_width = sino.detector.half_width(geom)
+    sino = _rebin_to_fan(p, geom, sinogram, n_det, n_beta)
     write_grid(args.out, sino.data, (0.0, geom.beta_span), (-half_width, half_width))
     if args.preview:
         write_pgm(args.preview, sino.data)
@@ -241,10 +242,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, GeometryError) as exc:
+    except (OSError, ValueError) as exc:  # InputError and GeometryError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -21,7 +21,11 @@ Nyquist term of an even n taken as real), and q then goes through the
 back end of :mod:`fanbeam.bst`: a detector FFT zero padded to exactly 4n
 samples, which gives the 2n+1 radii spaced pi/4 up to sigma_max = pi*n/2,
 the 1/sigma weight, the cached polar-to-Cartesian resampling and the
-inverse FFT.  The route never forms the rebinned parallel sinogram.
+inverse FFT.  The route never forms the rebinned parallel sinogram.  Its
+zero frequency is restored from the fan data themselves,
+< y, A_fan 1_disk > summed on the measured cells (:func:`_disk_target`):
+the n samples of q are uniform in t and too coarse where the linear
+detector's Jacobian steepens q towards the chord's edge at |t| = 1.
 
 The Bessel values J_n(D sigma_k) come from one downward (Miller)
 recurrence, run in blocks of 256 orders: :func:`bessel_table` stacks the
@@ -74,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._dc import restore_dc
+from ._dc import disk_integral_target, restore_dc
 from .bst import _detector_spectrum, spectrum_to_image
 from .core import FanGeometry, FanSinogram, ImageGrid, LinearFanSinogram, StandardFanSinogram
 from .rebinning import shear_to_theta
@@ -248,7 +252,12 @@ def bessel_table(geom: FanGeometry, n_terms: int, sigma) -> np.ndarray:
     """J_n(D * sigma_k) for n = 0..n_terms-1 (>= 1e-12 absolute), shape (n_terms, n_sigma)."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    return _bessel_matrix(geom.d * np.asarray(sigma, dtype=np.float64), n_terms)
+    x = geom.d * np.asarray(sigma, dtype=np.float64)
+    top = float(np.abs(x).max(initial=0.0))
+    # refused before the recurrence runs: the start order grows with |x| and exceeds it
+    if not top < _MAX_TERMS or (top >= _LEADING_X and _start_order(top) > _MAX_TERMS):
+        raise ValueError(f"the Bessel recurrence at |D sigma| = {top} starts above order {_MAX_TERMS}, the series limit")
+    return _bessel_matrix(x, n_terms)
 
 
 _SINE_DEFECT_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
@@ -472,11 +481,39 @@ def _detector_field(sino: FanSinogram, n: int, eps: float) -> np.ndarray:
     return q
 
 
+def _disk_target(sino: FanSinogram) -> float:
+    """< y, A_fan 1_disk > of the full circle, summed on the measured cells.
+
+    The full circle holds every ray twice.  A cell whose symmetry partner,
+    at beta + 2*angle + pi (mod 2*pi), is measured too is one of the two
+    copies; any other cell stands for both.
+    """
+    geom = sino.geometry
+    det = sino.det_grid
+    beta = geom.beta_span * np.arange(sino.n_beta) / sino.n_beta
+    shift = 2.0 * sino.detector.angle(det, geom.d)
+
+    def partner_measured(rows, cols):
+        # before the mod the partner lies in [pi - 2*gamma_max, 2*pi + 4*gamma_max),
+        # so its mod is below beta_span exactly when it is below beta_span or past 2*pi
+        partner = beta[rows, None] + shift[cols] + math.pi
+        return (partner < geom.beta_span) | (partner >= 2.0 * math.pi)
+
+    # the partner grows along a row with the angle, so only rows whose first
+    # or last cell has its partner measured hold such cells
+    edge = np.flatnonzero(partner_measured(slice(None), [0, -1]).any(axis=1))
+    once = np.where(partner_measured(edge, slice(None)), sino.data[edge], 0.0)
+    t = sino.detector.t(det, geom.d)
+    cell = (2.0 * sino.detector.half_width(geom) / (sino.n_det - 1)) * geom.beta_span / sino.n_beta
+    return disk_integral_target(sino.data, t, 2.0 * cell) - disk_integral_target(once, t, cell)
+
+
 def _series_image(sino: FanSinogram, n: int, eps: float) -> ImageGrid:
-    # the series' arrays are freed before the back end's larger ones are
-    # allocated; zero padded to 4n samples: 2n+1 radii spaced pi/4 up to sigma_max
+    # the target's temporaries and then the series' arrays are freed before the back
+    # end's larger ones are allocated; zero padded to 4n samples: 2n+1 radii spaced pi/4 up to sigma_max
+    target = _disk_target(sino)
     spec = _detector_spectrum(_detector_field(sino, n, eps), -1.0, 2.0 / n, 4 * n, math.pi * n / 2.0)
-    return ImageGrid(restore_dc(spectrum_to_image(spec, n), sino))
+    return ImageGrid(restore_dc(spectrum_to_image(spec, n), target))
 
 
 def standard_fan_backproject(w: StandardFanSinogram, n: int, eps: float = 1e-9) -> ImageGrid:

@@ -25,6 +25,7 @@ from fanbeam import (
 from fanbeam._dc import restore_dc
 from fanbeam._interp import bilinear
 from fanbeam.bst import _detector_spectrum, spectrum_to_image
+from fanbeam.series import _disk_target
 
 
 def project_parallel_grid(img, n_t, n_theta):
@@ -284,7 +285,7 @@ def series_image_dense(sino, n, eps=1e-9):
     series = (values.T @ b.real).T + 1j * (values.T @ b.imag).T
     spec = np.zeros_like(series)
     spec[:, 1:] = 4.0 * math.pi / sigma[1:][None, :] * series[:, 1:]
-    return restore_dc(spectrum_to_image(PolarSpectrum(spec, sigma_max), n), sino)
+    return restore_dc(spectrum_to_image(PolarSpectrum(spec, sigma_max), n), _disk_target(sino))
 
 
 def series_image_two_step(sino, n, eps=1e-9):
@@ -307,4 +308,4 @@ def series_image_two_step(sino, n, eps=1e-9):
     S[:, 1::2] *= -1.0
     q = 0.5 * sfft.irfft(S, n, axis=1, norm="forward")
     spec = _detector_spectrum(q, -1.0, 2.0 / n, 4 * n, sigma_max)
-    return ImageGrid(restore_dc(spectrum_to_image(spec, n), sino))
+    return ImageGrid(restore_dc(spectrum_to_image(spec, n), _disk_target(sino)))

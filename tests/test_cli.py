@@ -287,6 +287,8 @@ INPUT_ERRORS = {
     "one-row-fan-grid": lambda par, fan, tmp: backproject_argv(one_row_copy(fan, tmp / "one_row.grd")),
     # d*d overflows, so s_max = d/sqrt(d*d - 1) cannot be formed
     "overflowing-distance": lambda par, fan, tmp: ("project", "--in", par, "--geometry", "linear", "--d", 1e300),
+    # s_max = d/sqrt(d*d - 1) rounds to 1, a half-width backproject refuses
+    "unit-linear-half-width": lambda par, fan, tmp: ("project", "--in", par, "--geometry", "linear", "--d", 1e10),
     # the series would need about 1e21 and 3e13 terms
     "series-too-long": lambda par, fan, tmp: backproject_argv(far_standard_grid(tmp / "far.grd", 1e20), geometry="standard"),
     "series-too-long-small-n": lambda par, fan, tmp: backproject_argv(

@@ -1,5 +1,6 @@
 """Package hygiene by the standard library's ``ast``: no unused import, no
-unreferenced private name and no local that is set but never read.
+unreferenced private name, no local that is set but never read and no
+``__all__`` entry that the module does not bind.
 
 A deletion that leaves part of what it removes behind, a constant, a
 helper or a local, fails here.
@@ -69,3 +70,21 @@ def test_every_local_is_read(module):
             stored = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
             unread += [(getattr(fn, "name", "<lambda>"), name) for name in sorted(stored - loaded(fn) - {"_"})]
     assert unread == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_export_is_bound(module):
+    tree = MODULES[module]
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    exports = [
+        name.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in node.value.elts
+    ]
+    assert sorted(set(exports) - set(module_level_names(tree)) - imported) == []
