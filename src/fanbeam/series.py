@@ -63,10 +63,10 @@ table of cos(r gamma_j) and sin(r gamma_j), r < 256, per build:
   rescaling, and none of its values is subnormal; K is linear in the
   table, so the normalisation J_0 + 2*sum J_{2k} divides each of K's
   columns once, at the end;
-* band: column k skips an order block once the envelope
-  (x_k/2)^n / n!, x_k = D sigma_k, lies below its value at
-  (x_max, n_terms) for every order of the block, which the truncation
-  rule already holds below eps;
+* skip: a column's orders above its start order are exact zeros, so a
+  block of orders multiplies only the columns whose start is in or above
+  it; the starts do not decrease with sigma_k, so the skipped columns
+  are a prefix;
 * mirror: the grid is symmetric, so Re K is even and Im K odd in j; the
   first ceil(n_gamma/2) rows are built and K[n_gamma-1-j] = conj K[j].
 """
@@ -122,21 +122,21 @@ def _envelope_order(x: float, log_bound: float) -> int:
     return _first_below(math.ceil(x / 2.0) - 2, lambda n: n * log_half - math.lgamma(n + 1.0) >= log_bound)
 
 
-def _start_order(x: float) -> int:
-    """First order n > x, x > 0, where Debye's leading term for J_n(x) is below exp(_LOG_START).
+def _start_orders(x: np.ndarray) -> np.ndarray:
+    """First order n > |x_k| for each x_k != 0 where Debye's leading term for J_n(|x_k|) is below exp(_LOG_START).
 
-    With cosh(alpha) = n/x that term is exp(-n (alpha - tanh alpha)) /
-    sqrt(2 pi n tanh alpha) (DLMF 10.19.6), decreasing in n past x.  At
-    the first order past x, J_n is about x**(-1/3) and far above the
-    bound, so the search evaluates only orders above it.
+    With x = |x_k| and cosh(alpha) = n/x that term is exp(-n (alpha -
+    tanh alpha)) / sqrt(2 pi n tanh alpha) (DLMF 10.19.6), decreasing in
+    n past x.  At the first order past x, J_n is about x**(-1/3) and far
+    above the bound, so the search evaluates only orders above it.
     """
 
-    def above(n: int) -> bool:
-        alpha = math.acosh(n / x)
+    def above(n: int, v: float) -> bool:
+        alpha = math.acosh(n / v)
         tanh = math.tanh(alpha)
         return -n * (alpha - tanh) - 0.5 * math.log(2.0 * math.pi * n * tanh) >= _LOG_START
 
-    return _first_below(math.floor(x) + 1, above)
+    return np.array([_first_below(math.floor(v) + 1, lambda n: above(n, v)) for v in np.abs(x).tolist()], dtype=np.int64)
 
 
 def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
@@ -149,24 +149,24 @@ def choose_truncation(geom: FanGeometry, sigma_max: float, eps: float) -> int:
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps={eps} must be positive and finite")
     sigma_max = float(sigma_max)
-    if not (math.isfinite(sigma_max) and sigma_max >= 0):
-        raise ValueError(f"sigma_max={sigma_max} must be finite and nonnegative")
     x = geom.d * sigma_max
+    if not (math.isfinite(x) and sigma_max >= 0):
+        raise ValueError(f"sigma_max={sigma_max} must be nonnegative, with d*sigma_max finite")
     nyquist = math.ceil(2.0 * geom.gamma_max * x / math.pi)
     if x == 0.0:
         return max(1, nyquist)
     return max(_envelope_order(x, math.log(eps)), nyquist, 1)
 
 
-def _miller_blocks(x: np.ndarray, n_terms: int):
+def _miller_blocks(x: np.ndarray, n_terms: int, starts: np.ndarray):
     """Downward (Miller) recurrence for J_n(x), x != 0, over blocks of orders.
 
-    Column k starts at 1.0, with a zero above it, at the order N_k of
-    :func:`_start_order` at |x_k|, where J_n(x_k) is below 1e-200, and
-    the orders above N_k stay exact zeros.  The recurrence runs down in
-    place through a buffer of _ORDER_BLOCK + 2 rows, row i holding order
-    lo + i of the block.  A column grows from its seed by about the
-    inverse of J_{N_k}, so it needs no rescaling: over
+    Column k starts at 1.0, with a zero above it, at the order
+    N_k = starts[k] of :func:`_start_orders`, where J_n(x_k) is below
+    1e-200, and the orders above N_k stay exact zeros.  The recurrence
+    runs down in place through a buffer of _ORDER_BLOCK + 2 rows, row i
+    holding order lo + i of the block.  A column grows from its seed by
+    about the inverse of J_{N_k}, so it needs no rescaling: over
     1e-8 <= |x| <= 1e6 no value and no normalisation sum exceeds 2**695,
     far below the float limit 2**1023.  A step multiplies a column by
     about 2n/|x|, so the start can undershoot the bound by that much: the
@@ -180,9 +180,8 @@ def _miller_blocks(x: np.ndarray, n_terms: int):
     J_0 + 2*sum J_{2k} at the same scale, complete at the last block
     (lo = 0).  The recurrence goes on to overwrite both arrays.
     """
-    starts = np.array([_start_order(v) for v in np.abs(x).tolist()])
     seeds = {n: np.flatnonzero(starts == n) for n in np.unique(starts).tolist()}
-    top = int(starts.max())
+    top = int(starts.max(initial=0))
     rows = np.zeros((_ORDER_BLOCK + 2, x.size))
     row = list(rows)
     norm = np.zeros(x.size)
@@ -217,11 +216,11 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
 
     The blocks of :func:`_miller_blocks` are stacked and normalized once
     with J_0 + 2*sum J_{2k} = 1.  Values above the order a column's
-    recurrence starts from, where J_n is below 1e-200, and values below
-    the smallest normal float come out as exact zeros.  Columns with
-    |x| < _LEADING_X, x = 0 among them, hold the leading term
-    (x/2)^n / n! of the power series, J_0 = 1, which is J_n to within
-    (x/2)^2 < 3e-17 relative.
+    recurrence starts from, where J_n is below 1e-200, come out as exact
+    zeros, and none is subnormal: a column is smallest near its start.
+    Columns with |x| < _LEADING_X, x = 0 among them, hold the leading
+    term (x/2)^n / n! of the power series, J_0 = 1, which is J_n to
+    within (x/2)^2 < 3e-17 relative.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros((n_terms, x.size))
@@ -235,16 +234,12 @@ def _bessel_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
             break
         out[n, small] = term
     live = ~small
-    if not live.any():
-        return out
-    raw = np.zeros((n_terms, np.count_nonzero(live)))
-    for lo, rows, norm in _miller_blocks(x[live], n_terms):
-        raw[lo : lo + rows.shape[0]] = rows
-    raw /= norm
-    # the high orders of a column decay through the subnormal range, and a
-    # matrix product slows many times over on subnormal operands
-    raw[np.abs(raw) < tiny] = 0.0
-    out[:, live] = raw
+    starts = _start_orders(x[live])
+    if starts.max(initial=0) > _MAX_TERMS:
+        raise ValueError(f"the Bessel recurrence at |D sigma| = {np.abs(x).max()} starts above order {_MAX_TERMS}, the series limit")
+    for lo, rows, norm in _miller_blocks(x[live], n_terms, starts):
+        out[lo : lo + rows.shape[0], live] = rows
+    out[:, live] /= norm
     return out
 
 
@@ -253,9 +248,11 @@ def bessel_table(geom: FanGeometry, n_terms: int, sigma) -> np.ndarray:
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     x = geom.d * np.asarray(sigma, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("D sigma must be finite")
     top = float(np.abs(x).max(initial=0.0))
-    # refused before the recurrence runs: the start order grows with |x| and exceeds it
-    if not top < _MAX_TERMS or (top >= _LEADING_X and _start_order(top) > _MAX_TERMS):
+    # refused before any start order is sought: a start order exceeds its |x|
+    if top >= _MAX_TERMS:
         raise ValueError(f"the Bessel recurrence at |D sigma| = {top} starts above order {_MAX_TERMS}, the series limit")
     return _bessel_matrix(x, n_terms)
 
@@ -422,7 +419,6 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
     recurrence and K's accumulators.
     """
     sigma = math.pi * np.arange(n_sigma)
-    half_x = 0.5 * geom.d * sigma
     h = 2.0 * geom.gamma_max / (n_gamma - 1)
     # the grid is symmetric, so Re K is even in j and Im K odd: build the
     # first half of the rows and mirror the rest
@@ -434,20 +430,13 @@ def _series_kernel(geom: FanGeometry, n_terms: int, n_sigma: int, n_gamma: int) 
     re = np.zeros((n_sigma, rows))
     im = np.zeros((n_sigma, rows))
     re[0] = _hat_blocks(0, 1, gamma, h, n_gamma, trig)[0][:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_half_x = np.log(half_x)
-        # the envelope (x/2)^n / n! at (x_max, n_terms), which choose_truncation holds below eps
-        log_floor = n_terms * log_half_x[-1] - math.lgamma(n_terms + 1.0)
-    blocks = _miller_blocks(geom.d * sigma[1:], n_terms) if n_sigma > 1 else ()
-    for lo, raw, norm in blocks:
-        hi = lo + raw.shape[0]
-        # band: column k skips the block when its envelope, decreasing in n
-        # past x_k/2, is below the floor at n = lo; the envelope grows with
-        # x, so the skipped columns are a prefix, and column 0 is b_0 alone
-        with np.errstate(invalid="ignore"):
-            below = (lo >= half_x) & (lo * log_half_x - math.lgamma(lo + 1.0) < log_floor)
-        c0 = max(int(np.count_nonzero(below)), 1) - 1
-        even, odd = _hat_blocks(lo, hi, gamma, h, n_gamma, trig)
+    x = geom.d * sigma[1:]
+    starts = _start_orders(x)
+    for lo, raw, norm in _miller_blocks(x, n_terms, starts):
+        # skip: the columns that start below the block hold only zeros in it;
+        # the starts do not decrease with x, so those columns are a prefix
+        c0 = int(np.count_nonzero(starts < lo))
+        even, odd = _hat_blocks(lo, lo + raw.shape[0], gamma, h, n_gamma, trig)
         re[c0 + 1 :] += raw[0::2, c0:].T @ even.T
         im[c0 + 1 :] += raw[1::2, c0:].T @ odd.T
         if lo == 0:  # the last block, with the normalisation sum complete

@@ -79,7 +79,7 @@ class TestChooseTruncation:
         for sigma_max in np.linspace(0.0, 3.0, 61):
             assert choose_truncation(geom, sigma_max, 1e-9) == truncation_scan(geom, sigma_max, 1e-9)
 
-    @pytest.mark.parametrize("sigma_max", [math.inf, -math.inf, math.nan, -3.0, -1e-300])
+    @pytest.mark.parametrize("sigma_max", [math.inf, -math.inf, math.nan, -3.0, -1e-300, 1e308])
     def test_bad_sigma_max_is_a_value_error(self, geom, sigma_max):
         with pytest.raises(ValueError, match="sigma_max"):
             choose_truncation(geom, sigma_max, 1e-9)
@@ -140,8 +140,8 @@ class TestBesselTable:
             assert not vals[n, ~normal].any()
 
     def test_no_subnormal_entries(self, geom):
-        # a product over subnormal operands runs many times slower, so the
-        # table flushes them to zero
+        # a product over subnormal operands runs many times slower, and the
+        # recurrence yields none
         n = 64
         tab = bessel_table(geom, choose_truncation(geom, math.pi * n / 2, 1e-9), math.pi * np.arange(n // 2 + 1))
         assert not np.any((tab != 0.0) & (np.abs(tab) < np.finfo(np.float64).tiny))
@@ -163,7 +163,7 @@ class TestBesselTable:
     )
     def test_build_equals_rescale_loop(self, x, n_terms):
         # the same recurrence from the same starts: the loop's rescale never
-        # fires, and the build then flushes subnormal values to zero
+        # fires; the build yields no subnormal value, and the loop's flush is a no-op
         vals = _bessel_matrix(x, n_terms)
         ref = bessel_matrix_rescale_loop(x, n_terms)
         ref[np.abs(ref) < np.finfo(np.float64).tiny] = 0.0
@@ -175,7 +175,8 @@ class TestBesselTable:
         x = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 60), [1.0, 3.0, 31.0, 1024.0]])
         live = x[np.abs(x) >= series._LEADING_X]  # the columns _bessel_matrix runs the recurrence on
         largest = 0.0
-        for _, raw, norm in series._miller_blocks(live, 10**7):  # every block, down from the highest start
+        # every block, down from the highest start
+        for _, raw, norm in series._miller_blocks(live, 10**7, series._start_orders(live)):
             largest = max(largest, np.abs(raw).max(), np.abs(norm).max())
         assert np.isfinite(largest) and largest <= 2.0**720
 
@@ -183,6 +184,34 @@ class TestBesselTable:
         # the recurrence would start near order 1e9: about 1.4 us per order and column
         with pytest.raises(ValueError, match="series limit"):
             bessel_table(make_fan_geometry(10.0), 4, [1e8])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_is_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bessel_table(make_fan_geometry(10.0), 4, [1.0, bad])
+
+    @pytest.mark.parametrize("d, n", [(1.05, 64), (1.05, 1024), (10.0, 64), (10.0, 1024)])
+    def test_kernel_blocks_are_zero_above_each_start(self, d, n):
+        # the kernel build multiplies a block only into the columns that start in or
+        # above it, and takes the skipped columns as a prefix
+        geom = make_fan_geometry(d)
+        x = d * math.pi * np.arange(1, n // 2 + 1)
+        starts = series._start_orders(x)
+        assert np.all(np.diff(starts) >= 0)
+        n_terms = choose_truncation(geom, math.pi * n / 2, 1e-9)
+        for lo, raw, _ in series._miller_blocks(x, n_terms, starts):
+            above = lo + np.arange(raw.shape[0])[:, None] > starts
+            assert not raw[above].any()
+
+    def test_recurrence_yields_no_subnormal_value(self):
+        # nothing flushes them, and a product over subnormal operands runs many times
+        # slower; in chunks, each with every order up to its highest start
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 2e5, 200)])
+        tiny = np.finfo(np.float64).tiny
+        for chunk in np.array_split(x, 20):
+            top = series._start_orders(chunk[np.abs(chunk) >= series._LEADING_X]).max(initial=0)
+            vals = np.abs(_bessel_matrix(chunk, int(top) + 1))
+            assert not np.any((vals > 0.0) & (vals < tiny))
 
 
 class TestCoefficients:
